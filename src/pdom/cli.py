@@ -17,6 +17,7 @@ from .domination import (
     all_minimum_sets,
     coverage_target,
     influencing_set,
+    influencing_sweep,
     partial_domination_number,
 )
 from .formats import FormatError, parse_edge_list, parse_graph6, read_graph6_lines, write_dot, write_graph6
@@ -132,10 +133,9 @@ def _cmd_influence(args: argparse.Namespace) -> int:
         if g.order < 1:
             raise ValueError("--all-p needs at least one vertex")
         intersection = g.full_mask
-        for k in range(1, g.order + 1):
-            found = influencing_set(g, Fraction(k, g.order))
+        for p, found in influencing_sweep(g):
             intersection &= found
-            print(f"p={k}/{g.order} influencing = {format_vertex_set(found)}")
+            print(f"p={p * g.order}/{g.order} influencing = {format_vertex_set(found)}")  # k/n, unreduced
         print(f"intersection = {format_vertex_set(intersection)}")
     else:
         p = parse_proportion(args.p)
@@ -236,3 +236,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

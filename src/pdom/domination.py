@@ -2,14 +2,20 @@
 
 A set S p-dominates a graph of order n when its closed neighborhood N[S]
 holds at least ceil(p*n) vertices; the minimum cardinality of such a set is
-the partial domination number for p. Sizes are tried upward from zero, so the
-first success is optimal. Each size runs a depth-first search over vertices
-in descending closed-neighborhood order with an admissible prune: a branch
-dies once covered + picks_left * (best closed neighborhood among remaining
-candidates) cannot reach the target. Witnesses and full enumerations come
-from a second search in ascending vertex order, which visits candidate sets
-in lexicographic order, so the reported witness is the lexicographically
-least optimum and enumerations arrive sorted and duplicate free.
+the partial domination number for p. Sizes are tried upward from the
+counting bound ceil(target / max |N[v]|), so the first size with a hit is
+optimal. Each size runs one depth-first search over k-subsets in ascending
+vertex order, which visits candidate sets in lexicographic order: it either
+stops at the first hit, the lexicographically least optimum, or collects
+every hit, sorted and duplicate free. Before picking vertex i the search
+applies two bounds, and both only tighten as i grows, so either one ends
+the scan of the remaining candidates:
+
+- coverage: covered + picks_left * (largest closed neighborhood among
+  vertices >= i) cannot reach the target;
+- slack: more vertices are still uncovered, with their whole closed
+  neighborhood below i, than the n - target vertices allowed to stay
+  uncovered; no later pick can reach them.
 
 Proportions are exact rationals; coverage targets use integer ceiling
 arithmetic throughout, never floating point.
@@ -17,6 +23,7 @@ arithmetic throughout, never floating point.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,90 +70,45 @@ class SetFamily:
     sets: tuple[int, ...]
 
 
-def _greedy_size(g: Graph, target: int) -> int:
-    """Size of the greedy max-coverage solution; an upper bound for the optimum."""
-    closed = [g.closed_neighborhood(v) for v in range(g.order)]
-    covered = 0
-    size = 0
-    while covered.bit_count() < target:
-        best = max(range(g.order), key=lambda v: ((closed[v] & ~covered).bit_count(), -v))
-        covered |= closed[best]
-        size += 1
-    return size
+def _minimum_covers(g: Graph, target: int, collect: bool, start: int = 0) -> tuple[int, list[int]]:
+    """Least size k >= start of a set covering at least target >= 1 vertices,
+    with the lex-least such set, or with all of them in lex order if collect.
 
-
-def _cover_exists(g: Graph, k: int, target: int) -> bool:
-    """Is there a set of at most k vertices covering at least target?"""
+    start must not exceed the true minimum size.
+    """
     n = g.order
     closed = [g.closed_neighborhood(v) for v in range(n)]
-    order = sorted(range(n), key=lambda v: (-closed[v].bit_count(), v))
-    covers = [closed[v] for v in order]
-    sizes = [c.bit_count() for c in covers]
+    best = [0] * (n + 1)  # best[i]: largest |N[v]| over v >= i
+    dead = [0] * (n + 1)  # dead[i]: vertices u with N[u] entirely below i
+    for v in range(n - 1, -1, -1):
+        best[v] = max(best[v + 1], closed[v].bit_count())
+    for u in range(n):
+        dead[closed[u].bit_length()] |= 1 << u
+    for i in range(1, n + 1):
+        dead[i] |= dead[i - 1]
+    slack = n - target
+    hits: list[int] = []
 
-    def search(i: int, left: int, covered: int) -> bool:
+    def search(first: int, left: int, covered: int, chosen: int) -> bool:
         count = covered.bit_count()
-        if count >= target:
-            return True
-        if left == 0 or i == n:
-            return False
-        if count + left * sizes[i] < target:  # sizes is nonincreasing
-            return False
-        if search(i + 1, left - 1, covered | covers[i]):
-            return True
-        return search(i + 1, left, covered)
+        uncovered = ~covered
+        for i in range(first, n - left + 1):
+            if count + left * best[i] < target or (dead[i] & uncovered).bit_count() > slack:
+                return False  # both bounds only tighten as i grows
+            if left > 1:
+                if search(i + 1, left - 1, covered | closed[i], chosen | 1 << i):
+                    return True
+            elif (covered | closed[i]).bit_count() >= target:
+                hits.append(chosen | 1 << i)
+                if not collect:
+                    return True
+        return False
 
-    return search(0, k, 0)
-
-
-def _suffix_best(closed: list[int]) -> list[int]:
-    n = len(closed)
-    out = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        out[i] = max(out[i + 1], closed[i].bit_count())
-    return out
-
-
-def _lex_first_cover(g: Graph, k: int, target: int) -> int | None:
-    """Lexicographically least k-subset covering at least target, as a mask."""
-    n = g.order
-    closed = [g.closed_neighborhood(v) for v in range(n)]
-    best = _suffix_best(closed)
-
-    def search(start: int, left: int, covered: int, chosen: int) -> int | None:
-        if left == 0:
-            return chosen if covered.bit_count() >= target else None
-        count = covered.bit_count()
-        for v in range(start, n - left + 1):
-            if count + left * best[v] < target:
-                return None  # best[] is nonincreasing, so later starts fail too
-            hit = search(v + 1, left - 1, covered | closed[v], chosen | 1 << v)
-            if hit is not None:
-                return hit
-        return None
-
-    return search(0, k, 0, 0)
-
-
-def _all_covers(g: Graph, k: int, target: int) -> list[int]:
-    """Every k-subset covering at least target, in lexicographic order."""
-    n = g.order
-    closed = [g.closed_neighborhood(v) for v in range(n)]
-    best = _suffix_best(closed)
-    out: list[int] = []
-
-    def search(start: int, left: int, covered: int, chosen: int) -> None:
-        if left == 0:
-            if covered.bit_count() >= target:
-                out.append(chosen)
-            return
-        count = covered.bit_count()
-        for v in range(start, n - left + 1):
-            if count + left * best[v] < target:
-                return
-            search(v + 1, left - 1, covered | closed[v], chosen | 1 << v)
-
-    search(0, k, 0, 0)
-    return out
+    for k in range(max(start, -(-target // best[0])), n + 1):
+        search(0, k, 0, 0)
+        if hits:
+            return k, hits
+    raise AssertionError("the whole vertex set covers every vertex")  # pragma: no cover
 
 
 def partial_domination_number(g: Graph, p: Fraction | int) -> SolveResult:
@@ -157,13 +119,8 @@ def partial_domination_number(g: Graph, p: Fraction | int) -> SolveResult:
     target = coverage_target(g.order, p)
     if target == 0:
         return SolveResult(0, 0)
-    bound = _greedy_size(g, target)
-    for k in range(1, bound + 1):
-        if _cover_exists(g, k, target):
-            witness = _lex_first_cover(g, k, target)
-            assert witness is not None
-            return SolveResult(k, witness)
-    raise AssertionError("greedy upper bound was not met")  # pragma: no cover
+    size, hits = _minimum_covers(g, target, collect=False)
+    return SolveResult(size, hits[0])
 
 
 def domination_number(g: Graph) -> SolveResult:
@@ -174,26 +131,41 @@ def domination_number(g: Graph) -> SolveResult:
 def all_minimum_sets(g: Graph, p: Fraction | int) -> SetFamily:
     """Every minimum p-dominating set; {empty set} when the target is 0."""
     target = coverage_target(g.order, p)
-    size = partial_domination_number(g, p).size
-    if size == 0:
+    if target == 0:
         return SetFamily(0, (0,))
-    return SetFamily(size, tuple(_all_covers(g, size, target)))
+    size, hits = _minimum_covers(g, target, collect=True)
+    return SetFamily(size, tuple(hits))
 
 
-def influencing_set(g: Graph, p: Fraction | int) -> int:
-    """Union of all minimum p-dominating sets, as a mask."""
+def _union(sets) -> int:
     out = 0
-    for s in all_minimum_sets(g, p).sets:
+    for s in sets:
         out |= s
     return out
 
 
+def influencing_set(g: Graph, p: Fraction | int) -> int:
+    """Union of all minimum p-dominating sets, as a mask."""
+    return _union(all_minimum_sets(g, p).sets)
+
+
+def influencing_sweep(g: Graph) -> Iterator[tuple[Fraction, int]]:
+    """(p, influencing set) for p = k/n, k = 1..n.
+
+    gamma_p never decreases in p, so each search starts at the size found
+    for the previous p.
+    """
+    size = 0
+    for k in range(1, g.order + 1):
+        size, hits = _minimum_covers(g, k, collect=True, start=size)
+        yield Fraction(k, g.order), _union(hits)
+
+
 def influencing_intersection(g: Graph) -> int:
     """Intersection of the influencing sets over p = k/n for k = 1..n."""
-    n = g.order
-    if n < 1:
+    if g.order < 1:
         raise ValueError("influencing intersection needs at least one vertex")
     out = g.full_mask
-    for k in range(1, n + 1):
-        out &= influencing_set(g, Fraction(k, n))
+    for _, found in influencing_sweep(g):
+        out &= found
     return out

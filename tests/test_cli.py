@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pdom
 from pdom.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -59,6 +63,15 @@ def test_gamma_golden(capsys):
     )
 
 
+@pytest.mark.parametrize("module", ["pdom", "pdom.cli"])
+def test_module_entry_points(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(pdom.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", module, "gamma", "--gen", "path:6", "--p", "1/2"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == EXIT_OK
+    assert done.stdout == "gamma_p = 1\nwitness = {1}\ncovered = 3 of 6 (target 3)\n"
+
+
 def test_gamma_zero_proportion(capsys):
     assert main(["gamma", "--gen", "path:1", "--p", "0/1"]) == EXIT_OK
     assert capsys.readouterr().out == (
@@ -90,6 +103,11 @@ def test_influence_sweep_bipartite(capsys):
 def test_influence_sweep_twin_hub_empty_intersection(capsys):
     assert main(["influence", "--gen", "fig2", "--all-p"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1] == "intersection = {}"
+
+
+def test_influence_sweep_rejects_empty_graph(capsys):
+    assert main(["influence", "--g6", "?", "--all-p"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: --all-p needs at least one vertex\n"
 
 
 def test_enumerate_pendant_wheel(capsys):

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdom.domination import (
     SetFamily,
@@ -13,6 +16,7 @@ from pdom.domination import (
     domination_number,
     influencing_intersection,
     influencing_set,
+    influencing_sweep,
     is_p_dominating,
     partial_domination_number,
 )
@@ -20,6 +24,7 @@ from pdom.graphs import (
     Graph,
     cartesian_product,
     complete,
+    from_edges,
     mask_of,
     members,
     path,
@@ -238,3 +243,72 @@ def test_influencing_intersection():
         assert set(members(influencing_intersection(g))) == brute_intersection(g)
     with pytest.raises(ValueError):
         influencing_intersection(Graph(()))
+
+
+@st.composite
+def small_graphs(draw, max_order: int = 9) -> Graph:
+    n = draw(st.integers(1, max_order))
+    return from_edges(n, [e for e in combinations(range(n), 2) if draw(st.booleans())])
+
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+
+
+@SEEDED
+@given(small_graphs())
+def test_search_matches_brute(g):
+    n = g.order
+    for k in range(n + 1):
+        p = Fraction(k, n)
+        expected = brute_minimum_sets(g, p)
+        result = partial_domination_number(g, p)
+        family = all_minimum_sets(g, p)
+        assert result.size == family.size == len(expected[0])
+        assert members(result.witness) == expected[0]
+        assert [members(s) for s in family.sets] == expected
+
+
+@SEEDED
+@given(small_graphs())
+def test_every_witness_meets_the_target(g):
+    n = g.order
+    for k in range(n + 1):
+        p = Fraction(k, n)
+        target = coverage_target(n, p)
+        assert g.closed_neighborhood_of_set(partial_domination_number(g, p).witness).bit_count() >= target
+        assert all(g.closed_neighborhood_of_set(s).bit_count() >= target for s in all_minimum_sets(g, p).sets)
+
+
+@SEEDED
+@given(small_graphs())
+def test_gamma_does_not_decrease_in_p(g):
+    n = g.order
+    sizes = [partial_domination_number(g, Fraction(k, n)).size for k in range(n + 1)]
+    assert sizes == sorted(sizes)
+
+
+@SEEDED
+@given(small_graphs())
+def test_influencing_sweep_matches_brute(g):
+    n = g.order
+    swept = list(influencing_sweep(g))
+    assert [p for p, _ in swept] == [Fraction(k, n) for k in range(1, n + 1)]
+    for p, found in swept:
+        assert set(members(found)) == brute_influencing(g, p)
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    labels = list(range(g.order))
+    rng.shuffle(labels)
+    return from_edges(g.order, [(labels[u], labels[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(3, 4)])
+def test_slack_bound_on_relabelled_grid(seed, p):
+    # With little slack, vertices whose closed neighborhood lies wholly
+    # below the cursor end branches early; the results must not change.
+    g = _relabelled(cartesian_product(path(4), path(5)), random.Random(seed))
+    expected = brute_minimum_sets(g, p)
+    assert members(partial_domination_number(g, p).witness) == expected[0]
+    assert [members(s) for s in all_minimum_sets(g, p).sets] == expected

@@ -116,11 +116,6 @@ def enumerate_graphs(max_order: int, *, connected: bool = True) -> Iterator[Grap
                 seen[moved] = 1
 
 
-def enumerate_connected_graphs(max_order: int) -> Iterator[Graph]:
-    """All connected graphs up to isomorphism with at most max_order vertices."""
-    return enumerate_graphs(max_order, connected=True)
-
-
 @dataclass(frozen=True)
 class ScanReport:
     """One product-inequality check; witness is the product's minimum set

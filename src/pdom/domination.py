@@ -5,17 +5,30 @@ holds at least ceil(p*n) vertices; the minimum cardinality of such a set is
 the partial domination number for p. Sizes are tried upward from the
 counting bound ceil(target / max |N[v]|), so the first size with a hit is
 optimal. Each size runs one depth-first search over k-subsets in ascending
-vertex order, which visits candidate sets in lexicographic order: it either
-stops at the first hit, the lexicographically least optimum, or collects
-every hit, sorted and duplicate free. Before picking vertex i the search
-applies two bounds, and both only tighten as i grows, so either one ends
-the scan of the remaining candidates:
+vertex order, which visits candidate sets in lexicographic order. The
+search has three modes:
+
+- first: stop at the first hit, the lexicographically least optimum
+  (partial_domination_number);
+- all: collect every hit, sorted and duplicate free (all_minimum_sets);
+- union: keep only the OR of the hits so far (influencing_set and
+  influencing_sweep), so the influencing set is found without listing
+  the family.
+
+Before picking vertex i the search applies two bounds, and both only
+tighten as i grows, so either one ends the scan of the remaining
+candidates:
 
 - coverage: covered + picks_left * (largest closed neighborhood among
   vertices >= i) cannot reach the target;
 - slack: more vertices are still uncovered, with their whole closed
   neighborhood below i, than the n - target vertices allowed to stay
   uncovered; no later pick can reach them.
+
+In union mode a node is also dropped on entry when the chosen vertices
+and every vertex it could still pick all lie in the union already: no hit
+below it can add a vertex. The union is empty until the first hit, so
+this prune never changes which size is found minimum.
 
 Proportions are exact rationals; coverage targets use integer ceiling
 arithmetic throughout, never floating point.
@@ -26,8 +39,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Literal
 
 from .graphs import Graph
+
+Mode = Literal["first", "all", "union"]
 
 
 def as_proportion(value: Fraction | int) -> Fraction:
@@ -70,10 +86,12 @@ class SetFamily:
     sets: tuple[int, ...]
 
 
-def _minimum_covers(g: Graph, target: int, collect: bool, start: int = 0) -> tuple[int, list[int]]:
-    """Least size k >= start of a set covering at least target >= 1 vertices,
-    with the lex-least such set, or with all of them in lex order if collect.
+def _minimum_covers(g: Graph, target: int, mode: Mode, start: int = 0) -> tuple[int, int, list[int]]:
+    """Least size k >= start of a set covering at least target >= 1 vertices.
 
+    Returns (k, found, hits). In "first" mode found is the lex-least such
+    set; in "union" and "all" modes it is the union of all of them, and in
+    "all" mode hits lists them in lex order (otherwise hits is empty).
     start must not exceed the true minimum size.
     """
     n = g.order
@@ -87,9 +105,16 @@ def _minimum_covers(g: Graph, target: int, collect: bool, start: int = 0) -> tup
     for i in range(1, n + 1):
         dead[i] |= dead[i - 1]
     slack = n - target
+    full = g.full_mask
+    first_only = mode == "first"
+    union = mode == "union"
     hits: list[int] = []
+    found = 0
 
     def search(first: int, left: int, covered: int, chosen: int) -> bool:
+        nonlocal found
+        if union and not (chosen | full >> first << first) & ~found:
+            return False  # every hit below here lies inside found already
         count = covered.bit_count()
         uncovered = ~covered
         for i in range(first, n - left + 1):
@@ -99,15 +124,18 @@ def _minimum_covers(g: Graph, target: int, collect: bool, start: int = 0) -> tup
                 if search(i + 1, left - 1, covered | closed[i], chosen | 1 << i):
                     return True
             elif (covered | closed[i]).bit_count() >= target:
-                hits.append(chosen | 1 << i)
-                if not collect:
+                hit = chosen | 1 << i
+                found |= hit
+                if first_only:
                     return True
+                if not union:
+                    hits.append(hit)
         return False
 
     for k in range(max(start, -(-target // best[0])), n + 1):
         search(0, k, 0, 0)
-        if hits:
-            return k, hits
+        if found:
+            return k, found, hits
     raise AssertionError("the whole vertex set covers every vertex")  # pragma: no cover
 
 
@@ -119,8 +147,8 @@ def partial_domination_number(g: Graph, p: Fraction | int) -> SolveResult:
     target = coverage_target(g.order, p)
     if target == 0:
         return SolveResult(0, 0)
-    size, hits = _minimum_covers(g, target, collect=False)
-    return SolveResult(size, hits[0])
+    size, witness, _ = _minimum_covers(g, target, "first")
+    return SolveResult(size, witness)
 
 
 def domination_number(g: Graph) -> SolveResult:
@@ -133,20 +161,16 @@ def all_minimum_sets(g: Graph, p: Fraction | int) -> SetFamily:
     target = coverage_target(g.order, p)
     if target == 0:
         return SetFamily(0, (0,))
-    size, hits = _minimum_covers(g, target, collect=True)
+    size, _, hits = _minimum_covers(g, target, "all")
     return SetFamily(size, tuple(hits))
 
 
-def _union(sets) -> int:
-    out = 0
-    for s in sets:
-        out |= s
-    return out
-
-
 def influencing_set(g: Graph, p: Fraction | int) -> int:
-    """Union of all minimum p-dominating sets, as a mask."""
-    return _union(all_minimum_sets(g, p).sets)
+    """Union of all minimum p-dominating sets, as a mask; 0 when the target is 0."""
+    target = coverage_target(g.order, p)
+    if target == 0:
+        return 0
+    return _minimum_covers(g, target, "union")[1]
 
 
 def influencing_sweep(g: Graph) -> Iterator[tuple[Fraction, int]]:
@@ -157,8 +181,8 @@ def influencing_sweep(g: Graph) -> Iterator[tuple[Fraction, int]]:
     """
     size = 0
     for k in range(1, g.order + 1):
-        size, hits = _minimum_covers(g, k, collect=True, start=size)
-        yield Fraction(k, g.order), _union(hits)
+        size, found, _ = _minimum_covers(g, k, "union", start=size)
+        yield Fraction(k, g.order), found
 
 
 def influencing_intersection(g: Graph) -> int:

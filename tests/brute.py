@@ -28,8 +28,7 @@ def brute_target(n: int, p: Fraction) -> int:
     return c
 
 
-def brute_coverage(g: Graph, chosen: set[int]) -> set[int]:
-    nbrs = neighbor_sets(g)
+def brute_coverage(nbrs: list[set[int]], chosen: set[int]) -> set[int]:
     out = set(chosen)
     for v in chosen:
         out |= nbrs[v]
@@ -38,9 +37,10 @@ def brute_coverage(g: Graph, chosen: set[int]) -> set[int]:
 
 def brute_gamma(g: Graph, p: Fraction) -> int:
     target = brute_target(g.order, p)
+    nbrs = neighbor_sets(g)
     for k in range(g.order + 1):
         for combo in combinations(range(g.order), k):
-            if len(brute_coverage(g, set(combo))) >= target:
+            if len(brute_coverage(nbrs, set(combo))) >= target:
                 return k
     raise AssertionError("the full vertex set always covers everything")
 
@@ -48,8 +48,9 @@ def brute_gamma(g: Graph, p: Fraction) -> int:
 def brute_minimum_sets(g: Graph, p: Fraction) -> list[tuple[int, ...]]:
     target = brute_target(g.order, p)
     k = brute_gamma(g, p)
+    nbrs = neighbor_sets(g)
     return [combo for combo in combinations(range(g.order), k)
-            if len(brute_coverage(g, set(combo))) >= target]
+            if len(brute_coverage(nbrs, set(combo))) >= target]
 
 
 def brute_influencing(g: Graph, p: Fraction) -> set[int]:

@@ -105,6 +105,36 @@ def test_influence_sweep_twin_hub_empty_intersection(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "intersection = {}"
 
 
+def test_influence_sweep_subdivided_star_golden(capsys):
+    # Large enough (21 vertices, 16,630 minimum sets at p = 19/21) for the
+    # union-mode prune to skip whole subtrees.
+    assert main(["influence", "--gen", "subdivided-star:10", "--all-p"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "p=1/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "p=2/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "p=3/21 influencing = {0,1,2,3,4,5,6,7,8,9,10}\n"
+        "p=4/21 influencing = {0}\n"
+        "p=5/21 influencing = {0}\n"
+        "p=6/21 influencing = {0}\n"
+        "p=7/21 influencing = {0}\n"
+        "p=8/21 influencing = {0}\n"
+        "p=9/21 influencing = {0}\n"
+        "p=10/21 influencing = {0}\n"
+        "p=11/21 influencing = {0}\n"
+        "p=12/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "p=13/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "p=14/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "p=15/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "p=16/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "p=17/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "p=18/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "p=19/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "p=20/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "p=21/21 influencing = {1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
+        "intersection = {}\n"
+    )
+
+
 def test_influence_sweep_rejects_empty_graph(capsys):
     assert main(["influence", "--g6", "?", "--all-p"]) == EXIT_PARSE
     assert capsys.readouterr().err == "error: --all-p needs at least one vertex\n"

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given
 
 from pdom.conjecture import (
     REPORT_HEADER,
@@ -13,14 +14,15 @@ from pdom.conjecture import (
     check_p2_product_bound,
     check_path_product_scaling,
     check_product_inequality,
-    enumerate_connected_graphs,
     enumerate_graphs,
     scan_conjecture,
 )
+from pdom.domination import partial_domination_number
 from pdom.formats import write_graph6
-from pdom.graphs import Graph, VertexCapError, complete, from_edges, mask_of, path, star
+from pdom.graphs import Graph, VertexCapError, cartesian_product, complete, from_edges, mask_of, path, star
 
 from brute import brute_canonical, brute_connected
+from strategies import SEEDED, small_graphs
 
 HALF = Fraction(1, 2)
 
@@ -74,12 +76,6 @@ def test_enumeration_is_deterministic():
     assert first[:3] == ["@", "A?", "A_"]
 
 
-def test_connected_alias_matches_keyword_form():
-    alias = [write_graph6(g) for g in enumerate_connected_graphs(4)]
-    keyword = [write_graph6(g) for g in enumerate_graphs(4, connected=True)]
-    assert alias == keyword
-
-
 @pytest.mark.parametrize("bad_order", [0, 8])
 def test_enumeration_rejects_out_of_range_orders(bad_order):
     with pytest.raises(ValueError):
@@ -111,6 +107,14 @@ def test_product_inequality_examples():
 
     report = check_product_inequality(complete(3), complete(3), HALF)
     assert (report.gp_g, report.gp_h, report.gp_product, report.holds) == (1, 1, 1, True)
+
+
+@SEEDED
+@given(small_graphs(max_order=4), small_graphs(max_order=4))
+def test_product_gamma_is_symmetric(g, h):
+    for p in (HALF, Fraction(3, 4), Fraction(1)):
+        gh = partial_domination_number(cartesian_product(g, h), p).size
+        assert partial_domination_number(cartesian_product(h, g), p).size == gh
 
 
 def test_product_inequality_respects_vertex_cap():

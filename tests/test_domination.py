@@ -2,11 +2,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 from pdom.domination import (
     SetFamily,
@@ -42,6 +40,7 @@ from brute import (
     brute_target,
     random_graph,
 )
+from strategies import SEEDED, small_graphs
 
 HALF = Fraction(1, 2)
 
@@ -245,15 +244,6 @@ def test_influencing_intersection():
         influencing_intersection(Graph(()))
 
 
-@st.composite
-def small_graphs(draw, max_order: int = 9) -> Graph:
-    n = draw(st.integers(1, max_order))
-    return from_edges(n, [e for e in combinations(range(n), 2) if draw(st.booleans())])
-
-
-SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=120)
-
-
 @SEEDED
 @given(small_graphs())
 def test_search_matches_brute(g):
@@ -297,6 +287,22 @@ def test_influencing_sweep_matches_brute(g):
         assert set(members(found)) == brute_influencing(g, p)
 
 
+def _union_of_family(g: Graph, p: Fraction) -> int:
+    out = 0
+    for s in all_minimum_sets(g, p).sets:
+        out |= s
+    return out
+
+
+@SEEDED
+@given(small_graphs())
+def test_influencing_set_is_union_of_family(g):
+    n = g.order
+    for k in range(n + 1):
+        p = Fraction(k, n)
+        assert influencing_set(g, p) == _union_of_family(g, p)
+
+
 def _relabelled(g: Graph, rng: random.Random) -> Graph:
     labels = list(range(g.order))
     rng.shuffle(labels)
@@ -312,3 +318,16 @@ def test_slack_bound_on_relabelled_grid(seed, p):
     expected = brute_minimum_sets(g, p)
     assert members(partial_domination_number(g, p).witness) == expected[0]
     assert [members(s) for s in all_minimum_sets(g, p).sets] == expected
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("p", [Fraction(3, 4), HALF, Fraction(17, 20)])
+def test_union_prune_on_relabelled_grid(seed, p):
+    # Once the union holds every vertex a subtree could still pick, the
+    # union mode drops that subtree; hits it skips must add nothing. At
+    # 17/20 the union is 14 of the 20 vertices, so a prune that fires too
+    # early loses some of them.
+    g = _relabelled(cartesian_product(path(4), path(5)), random.Random(seed))
+    found = influencing_set(g, p)
+    assert set(members(found)) == brute_influencing(g, p)
+    assert found == _union_of_family(g, p)

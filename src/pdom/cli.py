@@ -146,8 +146,7 @@ def _cmd_influence(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     p = parse_proportion(args.p)
-    for s in all_minimum_sets(g, p).sets:
-        print(format_vertex_set(s))
+    print("\n".join(map(format_vertex_set, all_minimum_sets(g, p).sets)))  # never empty
     return EXIT_OK
 
 

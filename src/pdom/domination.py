@@ -30,6 +30,18 @@ and every vertex it could still pick all lie in the union already: no hit
 below it can add a vertex. The union is empty until the first hit, so
 this prune never changes which size is found minimum.
 
+The third prune is a failure memo. No pick at or after the cursor i can
+cover a vertex of dead[i], so whether a node's subtree holds a hit depends
+only on i, the picks left, the live covered set covered & ~dead[i], and
+how many dead vertices are covered, where more only helps. A subtree that
+made no hit and fired no union prune is recorded under (i, picks left,
+live covered set) with its dead count, and a later node with the same key
+and at most that dead count is dropped on entry. The memo lives for one
+search over all sizes, since a failed state fails whatever the size; it is
+used only when the slack n - target is positive (at zero slack it saves
+too little to pay for itself) and only at nodes with two or more picks
+left (a node with one pick left is a single scan).
+
 Proportions are exact rationals; coverage targets use integer ceiling
 arithmetic throughout, never floating point.
 """
@@ -110,26 +122,45 @@ def _minimum_covers(g: Graph, target: int, mode: Mode, start: int = 0) -> tuple[
     union = mode == "union"
     hits: list[int] = []
     found = 0
+    # Failure memo (see the module docstring): (first, left, live covered
+    # set) packed into one int -> the most dead vertices covered by a node
+    # with that key whose subtree held no hit. Only nodes with left >=
+    # memo_from use it, so none do at zero slack.
+    memo: dict[int, int] = {}
+    memo_from = 2 if slack else n + 1
+    events = 0  # hits and union prunes so far
 
     def search(first: int, left: int, covered: int, chosen: int) -> bool:
-        nonlocal found
+        nonlocal found, events
         if union and not (chosen | full >> first << first) & ~found:
+            events += 1  # the hits skipped here may exist, so no failure is recorded above
             return False  # every hit below here lies inside found already
+        key = 0
+        if left >= memo_from:
+            live = covered & ~dead[first]
+            key = live << 14 | left << 7 | first
+            held = (covered ^ live).bit_count()
+            if memo.get(key, -1) >= held:
+                return False  # the same state with as many dead vertices covered failed
+            before = events
         count = covered.bit_count()
         uncovered = ~covered
         for i in range(first, n - left + 1):
             if count + left * best[i] < target or (dead[i] & uncovered).bit_count() > slack:
-                return False  # both bounds only tighten as i grows
+                break  # both bounds only tighten as i grows
             if left > 1:
                 if search(i + 1, left - 1, covered | closed[i], chosen | 1 << i):
                     return True
             elif (covered | closed[i]).bit_count() >= target:
                 hit = chosen | 1 << i
                 found |= hit
+                events += 1
                 if first_only:
                     return True
                 if not union:
                     hits.append(hit)
+        if key and events == before:
+            memo[key] = held
         return False
 
     for k in range(max(start, -(-target // best[0])), n + 1):

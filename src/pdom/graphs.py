@@ -40,7 +40,12 @@ def members(mask: int) -> tuple[int, ...]:
 
 def format_vertex_set(mask: int) -> str:
     """Render a bitmask as ``{0,3,5}`` (no spaces, increasing order)."""
-    return "{" + ",".join(str(v) for v in members(mask)) + "}"
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(str(low.bit_length() - 1))
+        mask ^= low
+    return "{" + ",".join(out) + "}"
 
 
 @dataclass(frozen=True)

@@ -331,3 +331,29 @@ def test_union_prune_on_relabelled_grid(seed, p):
     found = influencing_set(g, p)
     assert set(members(found)) == brute_influencing(g, p)
     assert found == _union_of_family(g, p)
+
+
+@pytest.mark.parametrize("seed", [11, 89])
+@pytest.mark.parametrize("p", [HALF, Fraction(3, 4), Fraction(17, 20)])
+def test_failure_memo_on_relabelled_grid(seed, p):
+    # With slack the search drops a node whose cursor, picks left and live
+    # covered set match a subtree that held no hit; the witness, the family
+    # and the union must not change. Under labelling 89 at 3/4 a memo key
+    # that leaves out the cursor drops a subtree that holds a minimum set.
+    g = _relabelled(cartesian_product(path(4), path(5)), random.Random(seed))
+    expected = brute_minimum_sets(g, p)
+    assert members(partial_domination_number(g, p).witness) == expected[0]
+    assert [members(s) for s in all_minimum_sets(g, p).sets] == expected
+    assert set(members(influencing_set(g, p))) == brute_influencing(g, p)
+
+
+def test_failure_memo_keeps_union_pruned_subtrees():
+    # {1,4}, {2,4} and {3,4} all cover {1,...,5}, so at p = 9/10 they share
+    # a memo key. By {2,4} the union holds every vertex of its minimum sets
+    # {2,4,7,9} and {2,4,8,9}, so the union prune skips them; recording that
+    # subtree as a failure would drop {3,4}, below which lie the only
+    # minimum sets with vertex 3.
+    g = from_edges(10, [(0, 9), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5), (5, 6), (6, 9)])
+    for k in range(1, 11):
+        p = Fraction(k, 10)
+        assert set(members(influencing_set(g, p))) == brute_influencing(g, p)

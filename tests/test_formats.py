@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pdom.formats import (
     FormatError,
@@ -13,6 +16,7 @@ from pdom.formats import (
     write_graph6,
 )
 from pdom.graphs import (
+    MAX_VERTICES,
     Graph,
     VertexCapError,
     cartesian_product,
@@ -30,6 +34,7 @@ from pdom.graphs import (
 )
 
 from brute import random_graph
+from strategies import SEEDED
 
 
 def _corpus() -> list[Graph]:
@@ -60,6 +65,36 @@ def test_graph6_round_trip(g):
     decoded = parse_graph6(encoded)
     assert decoded.adj == g.adj
     assert write_graph6(decoded) == encoded
+
+
+@st.composite
+def graphs_up_to_cap(draw) -> Graph:
+    """A labelled graph on 0..MAX_VERTICES vertices; one draw picks its edges."""
+    n = draw(st.integers(0, MAX_VERTICES))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return from_edges(n, [e for b, e in enumerate(pairs) if chosen >> b & 1])
+
+
+@SEEDED
+@given(graphs_up_to_cap())
+@example(Graph(()))
+@example(complete(62))  # the last order with a one-byte header
+@example(path(63))  # the first order with the "~" header
+@example(complete(64))
+def test_graph6_round_trip_up_to_cap(g):
+    encoded = write_graph6(g)
+    assert encoded.startswith("~") == (g.order >= 63)
+    assert parse_graph6(encoded).adj == g.adj
+
+
+@SEEDED
+@given(graphs_up_to_cap())
+@example(Graph(()))
+@example(complete(64))
+def test_edge_list_round_trip_up_to_cap(g):
+    text = f"n {g.order}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+    assert parse_edge_list(text).adj == g.adj
 
 
 def test_known_encodings():

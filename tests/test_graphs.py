@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pdom.graphs import (
     MAX_VERTICES,
@@ -25,6 +27,7 @@ from pdom.graphs import (
 )
 
 from brute import random_graph
+from strategies import SEEDED
 
 
 def test_mask_helpers_round_trip():
@@ -35,6 +38,15 @@ def test_mask_helpers_round_trip():
     assert format_vertex_set(0) == "{}"
     with pytest.raises(ValueError):
         mask_of([-1])
+
+
+@SEEDED
+@given(st.integers(0, (1 << MAX_VERTICES) - 1))
+@example(0)
+@example(1 << 63)
+@example((1 << MAX_VERTICES) - 1)
+def test_format_vertex_set_matches_members(mask):
+    assert format_vertex_set(mask) == "{" + ",".join(map(str, members(mask))) + "}"
 
 
 def test_construction_rejects_bad_adjacency():

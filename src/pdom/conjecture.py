@@ -2,18 +2,26 @@
 
 The claim under test: the half (or general p) domination number of a
 Cartesian product is at least the product of the factors' numbers. Factor
-graphs come from an order-by-order enumeration of simple graphs up to
-isomorphism: every edge mask is visited in increasing order, and each
-previously unseen mask is the canonical (minimal) representative of its
-isomorphism class, whose full permutation orbit is then marked as seen.
-The factorial orbit walk caps the enumeration at order 7.
+graphs come from an orderly enumeration of simple graphs up to isomorphism
+(R. C. Read, "Every one a winner", 1978; B. D. McKay, "Isomorph-free
+exhaustive generation", 1998). A class is represented by its least edge
+mask, where pair (a, b), a < b, sets the bit whose index is the pair's
+rank in lexicographic order. The pairs with a >= 1 fill the top bits, so
+deleting vertex 0 from a canonical graph leaves a canonical graph one
+order down: a relabelling of vertices 1..n-1 that lowered those bits would
+lower the whole mask. Every canonical graph of order n is therefore
+h << (n-1) | s, where h is a canonical mask of order n - 1 and s gives the
+neighbours of the new vertex 0, and it is kept exactly when no relabelling
+gives a smaller mask. Looping over h and s in ascending order yields each
+class once, in ascending mask order, with no table of seen graphs. The
+minimality test backtracks over relabellings and can visit all n! of them
+on a highly symmetric graph; MAX_ENUM_ORDER caps the order at 7.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 from .domination import as_proportion, partial_domination_number
@@ -32,30 +40,6 @@ MAX_ENUM_ORDER = 7
 REPORT_HEADER = "# g6_g g6_h p gp_g gp_h gp_prod holds"
 
 
-def _edge_permutation_maps(n: int, pairs: list[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """For each vertex permutation, where each edge bit lands."""
-    index = {pair: e for e, pair in enumerate(pairs)}
-    maps = []
-    for perm in permutations(range(n)):
-        maps.append(tuple(
-            index[(perm[i], perm[j])] if perm[i] < perm[j] else index[(perm[j], perm[i])]
-            for i, j in pairs
-        ))
-    return maps
-
-
-def _adjacency_from_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> tuple[int, ...]:
-    adj = [0] * n
-    t = mask
-    while t:
-        low = t & -t
-        i, j = pairs[low.bit_length() - 1]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        t ^= low
-    return tuple(adj)
-
-
 def _mask_connected(n: int, adj: tuple[int, ...]) -> bool:
     seen = 1
     frontier = 1
@@ -71,23 +55,41 @@ def _mask_connected(n: int, adj: tuple[int, ...]) -> bool:
     return seen == (1 << n) - 1
 
 
-def canonical_edge_mask(g: Graph) -> int:
-    """Minimal edge mask over all vertex permutations; equal masks mean isomorphic."""
-    n = g.order
-    if n > MAX_ENUM_ORDER:
-        raise ValueError(f"canonical form capped at order {MAX_ENUM_ORDER}, got {n}")
-    pairs = list(combinations(range(n), 2))
-    index = {pair: e for e, pair in enumerate(pairs)}
-    edges = list(g.edges())
-    best = None
-    for perm in permutations(range(n)):
-        mask = 0
-        for u, v in edges:
-            a, b = perm[u], perm[v]
-            mask |= 1 << (index[(a, b)] if a < b else index[(b, a)])
-        if best is None or mask < best:
-            best = mask
-    return best if best is not None else 0
+def _beaten(adj: tuple[int, ...]) -> bool:
+    """Does some relabelling of adj give a smaller edge mask?
+
+    Positions are filled from n-1 down to 0. img[w] holds the positions
+    already taken by w's neighbours, so putting w at position j fixes the
+    row block img[w] >> (j+1) of the pairs (j, b), b > j, which outranks
+    every block placed after it. A block above adj's own block at j ends
+    that branch, one below it answers yes, and an equal one goes a level
+    deeper.
+    """
+    n = len(adj)
+    rows = [adj[j] >> (j + 1) for j in range(n)]
+
+    def place(j: int, free: int, img: list[int]) -> bool:
+        row = rows[j]
+        t = free
+        while t:
+            low = t & -t
+            t ^= low
+            w = low.bit_length() - 1
+            block = img[w] >> (j + 1)
+            if block < row:
+                return True
+            if block == row and j:
+                nxt = img[:]
+                u = adj[w] & free
+                while u:
+                    bit = u & -u
+                    nxt[bit.bit_length() - 1] |= 1 << j
+                    u ^= bit
+                if place(j - 1, free ^ low, nxt):
+                    return True
+        return False
+
+    return place(n - 1, (1 << n) - 1, [0] * n)
 
 
 def enumerate_graphs(max_order: int, *, connected: bool = True) -> Iterator[Graph]:
@@ -95,25 +97,20 @@ def enumerate_graphs(max_order: int, *, connected: bool = True) -> Iterator[Grap
     orders and smallest canonical edge masks first."""
     if not 1 <= max_order <= MAX_ENUM_ORDER:
         raise ValueError(f"max_order must be in 1..{MAX_ENUM_ORDER}, got {max_order}")
+    level = [(0,)]  # the canonical graphs of order n, by ascending edge mask
     for n in range(1, max_order + 1):
-        pairs = list(combinations(range(n), 2))
-        perm_maps = _edge_permutation_maps(n, pairs)
-        seen = bytearray(1 << len(pairs))
-        for mask in range(1 << len(pairs)):
-            if seen[mask]:
-                continue
-            adj = _adjacency_from_mask(n, pairs, mask)
-            if connected and not _mask_connected(n, adj):
-                continue  # connectivity is orbit-invariant, so skipping is safe
-            yield Graph(adj)
-            for pm in perm_maps:
-                moved = 0
-                t = mask
-                while t:
-                    low = t & -t
-                    moved |= 1 << pm[low.bit_length() - 1]
-                    t ^= low
-                seen[moved] = 1
+        if n > 1:
+            children = []
+            for parent in level:
+                for s in range(1 << (n - 1)):
+                    # the new vertex 0 joins parent vertex v, now v + 1, when bit v of s is set
+                    child = (s << 1,) + tuple(row << 1 | s >> v & 1 for v, row in enumerate(parent))
+                    if not _beaten(child):
+                        children.append(child)
+            level = children
+        for adj in level:
+            if not connected or _mask_connected(n, adj):
+                yield Graph(adj)
 
 
 @dataclass(frozen=True)
@@ -149,17 +146,13 @@ class ScanOutcome:
     family: str
 
 
-def check_product_inequality(g: Graph, h: Graph, p: Fraction | int) -> ScanReport:
-    """Solve gamma_p on g, h, and their product; report whether the product
-    value is at least the product of the factor values."""
-    p = as_proportion(p)
-    gp_g = partial_domination_number(g, p).size
-    gp_h = partial_domination_number(h, p).size
+def _product_report(g: Graph, h: Graph, p: Fraction, gp_g: int, gp_h: int, g6_g: str, g6_h: str) -> ScanReport:
+    """Solve gamma_p on the product of g and h and compare it with gp_g * gp_h."""
     result = partial_domination_number(cartesian_product(g, h), p)
     holds = result.size >= gp_g * gp_h
     return ScanReport(
-        g6_g=write_graph6(g),
-        g6_h=write_graph6(h),
+        g6_g=g6_g,
+        g6_h=g6_h,
         p=p,
         gp_g=gp_g,
         gp_h=gp_h,
@@ -167,6 +160,15 @@ def check_product_inequality(g: Graph, h: Graph, p: Fraction | int) -> ScanRepor
         holds=holds,
         witness=None if holds else result.witness,
     )
+
+
+def check_product_inequality(g: Graph, h: Graph, p: Fraction | int) -> ScanReport:
+    """Solve gamma_p on g, h, and their product; report whether the product
+    value is at least the product of the factor values."""
+    p = as_proportion(p)
+    gp_g = partial_domination_number(g, p).size
+    gp_h = partial_domination_number(h, p).size
+    return _product_report(g, h, p, gp_g, gp_h, write_graph6(g), write_graph6(h))
 
 
 def scan_conjecture(
@@ -199,19 +201,9 @@ def scan_conjecture(
         for j in range(i, len(entries)):
             g6_h, h = entries[j]
             pairs += 1
-            result = partial_domination_number(cartesian_product(g, h), p)
-            holds = result.size >= values[i] * values[j]
-            if not holds:
-                failures.append(ScanReport(
-                    g6_g=g6_g,
-                    g6_h=g6_h,
-                    p=p,
-                    gp_g=values[i],
-                    gp_h=values[j],
-                    gp_product=result.size,
-                    holds=False,
-                    witness=result.witness,
-                ))
+            report = _product_report(g, h, p, values[i], values[j], g6_g, g6_h)
+            if not report.holds:
+                failures.append(report)
     return ScanOutcome(pairs=pairs, failures=tuple(failures), family=family)
 
 

@@ -6,6 +6,12 @@ from pdom.conjecture import enumerate_graphs
 
 
 @pytest.fixture(scope="session")
+def graphs_upto_7() -> list:
+    """All graphs up to isomorphism with 1..7 vertices, connected or not."""
+    return list(enumerate_graphs(7, connected=False))
+
+
+@pytest.fixture(scope="session")
 def graphs_upto_6() -> list:
     """All graphs up to isomorphism with 1..6 vertices, connected or not."""
     return list(enumerate_graphs(6, connected=False))

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
-from collections import Counter
+import hashlib
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given
 
 from pdom.conjecture import (
     REPORT_HEADER,
     ScanReport,
-    canonical_edge_mask,
     check_p2_product_bound,
     check_path_product_scaling,
     check_product_inequality,
@@ -19,7 +20,7 @@ from pdom.conjecture import (
 )
 from pdom.domination import partial_domination_number
 from pdom.formats import write_graph6
-from pdom.graphs import Graph, VertexCapError, cartesian_product, complete, from_edges, mask_of, path, star
+from pdom.graphs import Graph, VertexCapError, cartesian_product, complete, mask_of, path
 
 from brute import brute_canonical, brute_connected
 from strategies import SEEDED, small_graphs
@@ -76,22 +77,46 @@ def test_enumeration_is_deterministic():
     assert first[:3] == ["@", "A?", "A_"]
 
 
+# sha256 of the graph6 lines of enumerate_graphs(7, connected=False), joined
+# by newlines: scan records and bench/order7.g6 depend on these exact
+# representatives in this exact order.
+ORDER_7_SHA256 = "13bfdbaf93f37e96f0310b1909ce4d14e64ebe161a001183aacb750b83e68db9"
+
+
+def test_order_7_enumeration_is_pinned(graphs_upto_7):
+    listing = "\n".join(write_graph6(g) for g in graphs_upto_7)
+    assert len(graphs_upto_7) == 1252
+    assert hashlib.sha256(listing.encode()).hexdigest() == ORDER_7_SHA256
+
+
+def _degree_key(g: nx.Graph) -> tuple:
+    """Order, and each vertex's degree with its neighbours' degrees, sorted."""
+    return g.number_of_nodes(), tuple(sorted(
+        (d, tuple(sorted(g.degree(u) for u in g[v]))) for v, d in g.degree()
+    ))
+
+
+def test_enumeration_matches_graph_atlas(graphs_upto_7):
+    # The atlas (Read and Wilson) lists every graph on 0..7 nodes once.
+    atlas = defaultdict(list)
+    for a in nx.graph_atlas_g():
+        if a.number_of_nodes():
+            atlas[_degree_key(a)].append(a)
+    matched = set()
+    for g in graphs_upto_7:
+        ours = nx.Graph()
+        ours.add_nodes_from(range(g.order))
+        ours.add_edges_from(g.edges())
+        same = [id(a) for a in atlas[_degree_key(ours)] if nx.is_isomorphic(ours, a)]
+        assert len(same) == 1, write_graph6(g)
+        matched.add(same[0])
+    assert len(matched) == sum(len(bucket) for bucket in atlas.values()) == len(graphs_upto_7)
+
+
 @pytest.mark.parametrize("bad_order", [0, 8])
 def test_enumeration_rejects_out_of_range_orders(bad_order):
     with pytest.raises(ValueError):
         next(enumerate_graphs(bad_order))
-
-
-def test_canonical_edge_mask_identifies_isomorphs():
-    relabeled_path = from_edges(4, [(2, 0), (0, 3), (3, 1)])
-    assert canonical_edge_mask(relabeled_path) == canonical_edge_mask(path(4))
-    assert canonical_edge_mask(star(3)) != canonical_edge_mask(path(4))
-    assert canonical_edge_mask(Graph((0,))) == 0
-
-
-def test_canonical_edge_mask_order_cap():
-    with pytest.raises(ValueError):
-        canonical_edge_mask(complete(8))
 
 
 def test_product_inequality_examples():

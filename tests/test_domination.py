@@ -40,7 +40,7 @@ from brute import (
     brute_target,
     random_graph,
 )
-from strategies import SEEDED, small_graphs
+from strategies import SEEDED, SEEDED_SPARSE, small_graphs, sparse_graphs
 
 HALF = Fraction(1, 2)
 
@@ -285,6 +285,22 @@ def test_influencing_sweep_matches_brute(g):
     assert [p for p, _ in swept] == [Fraction(k, n) for k in range(1, n + 1)]
     for p, found in swept:
         assert set(members(found)) == brute_influencing(g, p)
+
+
+@SEEDED_SPARSE
+@given(sparse_graphs())
+def test_kernel_modes_match_brute_on_sparse_graphs(g):
+    # Larger graphs reach memo states the small_graphs strategy does not:
+    # a memo key without the cursor drops hits here.
+    n = g.order
+    for k in range(1, n + 1):
+        p = Fraction(k, n)
+        expected = brute_minimum_sets(g, p)
+        result = partial_domination_number(g, p)
+        assert result.size == len(expected[0])
+        assert members(result.witness) == expected[0]
+        assert [members(s) for s in all_minimum_sets(g, p).sets] == expected
+        assert set(members(influencing_set(g, p))) == set().union(*expected)
 
 
 def _union_of_family(g: Graph, p: Fraction) -> int:

@@ -2,11 +2,13 @@
 
 A set S p-dominates a graph of order n when its closed neighborhood N[S]
 holds at least ceil(p*n) vertices; the minimum cardinality of such a set is
-the partial domination number for p. Sizes are tried upward from the
-counting bound ceil(target / max |N[v]|), so the first size with a hit is
-optimal. Each size runs one depth-first search over k-subsets in ascending
-vertex order, which visits candidate sets in lexicographic order. The
-search has three modes:
+the partial domination number for p. One kernel call takes ascending
+targets and builds its tables once; target 0 yields the empty set. Sizes
+are tried upward from the counting bound ceil(target / max |N[v]|), or
+from the previous target's size if larger (gamma_p never decreases in p),
+so the first size with a hit is optimal. Each size runs one depth-first
+search over k-subsets in ascending vertex order, which visits candidate
+sets in lexicographic order. The search has three modes:
 
 - first: stop at the first hit, the lexicographically least optimum
   (partial_domination_number);
@@ -37,20 +39,21 @@ how many dead vertices are covered, where more only helps. A subtree that
 made no hit and fired no union prune is recorded under (i, picks left,
 live covered set) with its dead count, and a later node with the same key
 and at most that dead count is dropped on entry. The memo lives for one
-search over all sizes, since a failed state fails whatever the size; it is
-used only when the slack n - target is positive (at zero slack it saves
-too little to pay for itself) and only at nodes with two or more picks
-left (a node with one pick left is a single scan).
+target's search over all sizes, since a failed state fails whatever the
+size; it is used only when the slack n - target is positive (at zero
+slack it saves too little to pay for itself) and only at nodes with two or
+more picks left (a node with one pick left is a single scan).
 
-Proportions are exact rationals; coverage targets use integer ceiling
-arithmetic throughout, never floating point.
+Proportions are exact rationals, int or Fraction (a float is rejected:
+0.1 is not 1/10); coverage targets use integer ceiling arithmetic.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Literal
 
 from .graphs import Graph
@@ -59,7 +62,9 @@ Mode = Literal["first", "all", "union"]
 
 
 def as_proportion(value: Fraction | int) -> Fraction:
-    """Validate a proportion; must lie in [0, 1]."""
+    """Validate a proportion: an int or Fraction in [0, 1]."""
+    if not isinstance(value, Rational):
+        raise TypeError(f"proportion must be an int or Fraction, not {type(value).__name__} {value!r}")
     p = Fraction(value)
     if p < 0 or p > 1:
         raise ValueError(f"proportion {p} outside [0, 1]")
@@ -98,16 +103,17 @@ class SetFamily:
     sets: tuple[int, ...]
 
 
-def _minimum_covers(g: Graph, target: int, mode: Mode, start: int = 0) -> tuple[int, int, list[int]]:
-    """Least size k >= start of a set covering at least target >= 1 vertices.
+def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (k, found, hits) for each of the ascending targets, in turn.
 
-    Returns (k, found, hits). In "first" mode found is the lex-least such
-    set; in "union" and "all" modes it is the union of all of them, and in
-    "all" mode hits lists them in lex order (otherwise hits is empty).
-    start must not exceed the true minimum size.
+    k is the least size of a set covering at least target vertices. In
+    "first" mode found is the lex-least such set; in "union" and "all"
+    modes it is the union of all of them, and in "all" mode hits lists
+    them in lex order (otherwise hits is empty). Target 0 yields the empty
+    set: (0, 0, [0]).
     """
     n = g.order
-    closed = [g.closed_neighborhood(v) for v in range(n)]
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
     best = [0] * (n + 1)  # best[i]: largest |N[v]| over v >= i
     dead = [0] * (n + 1)  # dead[i]: vertices u with N[u] entirely below i
     for v in range(n - 1, -1, -1):
@@ -116,19 +122,9 @@ def _minimum_covers(g: Graph, target: int, mode: Mode, start: int = 0) -> tuple[
         dead[closed[u].bit_length()] |= 1 << u
     for i in range(1, n + 1):
         dead[i] |= dead[i - 1]
-    slack = n - target
     full = g.full_mask
     first_only = mode == "first"
     union = mode == "union"
-    hits: list[int] = []
-    found = 0
-    # Failure memo (see the module docstring): (first, left, live covered
-    # set) packed into one int -> the most dead vertices covered by a node
-    # with that key whose subtree held no hit. Only nodes with left >=
-    # memo_from use it, so none do at zero slack.
-    memo: dict[int, int] = {}
-    memo_from = 2 if slack else n + 1
-    events = 0  # hits and union prunes so far
 
     def search(first: int, left: int, covered: int, chosen: int) -> bool:
         nonlocal found, events
@@ -163,11 +159,28 @@ def _minimum_covers(g: Graph, target: int, mode: Mode, start: int = 0) -> tuple[
             memo[key] = held
         return False
 
-    for k in range(max(start, -(-target // best[0])), n + 1):
-        search(0, k, 0, 0)
-        if found:
-            return k, found, hits
-    raise AssertionError("the whole vertex set covers every vertex")  # pragma: no cover
+    k = 0
+    for target in targets:
+        if target == 0:
+            yield 0, 0, [0]
+            continue
+        slack = n - target
+        hits: list[int] = []
+        found = 0
+        # Failure memo (see the module docstring): (first, left, live covered
+        # set) packed into one int -> the most dead vertices covered by a node
+        # with that key whose subtree held no hit. Only nodes with left >=
+        # memo_from use it, so none do at zero slack.
+        memo: dict[int, int] = {}
+        memo_from = 2 if slack else n + 1
+        events = 0  # hits and union prunes so far
+        for k in range(max(k, -(-target // best[0])), n + 1):
+            search(0, k, 0, 0)
+            if found:
+                break
+        else:  # pragma: no cover
+            raise AssertionError("the whole vertex set covers every vertex")
+        yield k, found, hits
 
 
 def partial_domination_number(g: Graph, p: Fraction | int) -> SolveResult:
@@ -175,10 +188,7 @@ def partial_domination_number(g: Graph, p: Fraction | int) -> SolveResult:
 
     p = 0 asks for nothing and yields size 0 with the empty witness.
     """
-    target = coverage_target(g.order, p)
-    if target == 0:
-        return SolveResult(0, 0)
-    size, witness, _ = _minimum_covers(g, target, "first")
+    size, witness, _ = next(_minimum_covers(g, "first", [coverage_target(g.order, p)]))
     return SolveResult(size, witness)
 
 
@@ -189,31 +199,20 @@ def domination_number(g: Graph) -> SolveResult:
 
 def all_minimum_sets(g: Graph, p: Fraction | int) -> SetFamily:
     """Every minimum p-dominating set; {empty set} when the target is 0."""
-    target = coverage_target(g.order, p)
-    if target == 0:
-        return SetFamily(0, (0,))
-    size, _, hits = _minimum_covers(g, target, "all")
+    size, _, hits = next(_minimum_covers(g, "all", [coverage_target(g.order, p)]))
     return SetFamily(size, tuple(hits))
 
 
 def influencing_set(g: Graph, p: Fraction | int) -> int:
     """Union of all minimum p-dominating sets, as a mask; 0 when the target is 0."""
-    target = coverage_target(g.order, p)
-    if target == 0:
-        return 0
-    return _minimum_covers(g, target, "union")[1]
+    return next(_minimum_covers(g, "union", [coverage_target(g.order, p)]))[1]
 
 
 def influencing_sweep(g: Graph) -> Iterator[tuple[Fraction, int]]:
-    """(p, influencing set) for p = k/n, k = 1..n.
-
-    gamma_p never decreases in p, so each search starts at the size found
-    for the previous p.
-    """
-    size = 0
-    for k in range(1, g.order + 1):
-        size, found, _ = _minimum_covers(g, k, "union", start=size)
-        yield Fraction(k, g.order), found
+    """(p, influencing set) for p = k/n, k = 1..n, from one kernel call."""
+    n = g.order
+    for k, (_, found, _) in enumerate(_minimum_covers(g, "union", range(1, n + 1)), start=1):
+        yield Fraction(k, n), found
 
 
 def influencing_intersection(g: Graph) -> int:

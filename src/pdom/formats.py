@@ -147,8 +147,6 @@ def parse_edge_list(text: str) -> Graph:
         if not seen_rows:
             raise FormatError("empty edge list and no 'n <order>' header")
         declared = max_index + 1
-    if declared > MAX_VERTICES:
-        raise VertexCapError(f"order {declared} exceeds the cap of {MAX_VERTICES}")
     return from_edges(declared, edges)
 
 

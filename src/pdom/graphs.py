@@ -8,7 +8,6 @@ operations. Order is capped at MAX_VERTICES to keep masks within one word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -30,6 +29,8 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def members(mask: int) -> tuple[int, ...]:
     """Vertices of a bitmask in increasing order."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -40,6 +41,8 @@ def members(mask: int) -> tuple[int, ...]:
 
 def format_vertex_set(mask: int) -> str:
     """Render a bitmask as ``{0,3,5}`` (no spaces, increasing order)."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -167,13 +170,13 @@ def path(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs at least 1 vertex, got {n}")
-    return from_edges(n, combinations(range(n), 2))
+    return from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
@@ -195,9 +198,7 @@ def subdivided_star(k: int) -> Graph:
     1..k, and the outer leaf of inner i is k+i."""
     if k < 1:
         raise ValueError(f"subdivided star needs at least 1 leg, got {k}")
-    edges = [(0, i) for i in range(1, k + 1)]
-    edges += [(i, k + i) for i in range(1, k + 1)]
-    return from_edges(2 * k + 1, edges)
+    return from_edges(2 * k + 1, (e for i in range(1, k + 1) for e in ((0, i), (i, k + i))))
 
 
 def twin_hub_graph() -> Graph:

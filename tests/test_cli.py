@@ -250,6 +250,8 @@ def test_parse_failures_exit_two(argv, capsys):
 def test_vertex_cap_exit_three(capsys):
     assert main(["gamma", "--g6", "~?@A", "--p", "1/2"]) == EXIT_CAP
     assert capsys.readouterr().err.startswith("error:")
+    assert main(["gamma", "--gen", "cycle:1000000", "--p", "1/2"]) == EXIT_CAP  # no edge list built first
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_argparse_usage_errors_exit_two(capsys):

@@ -74,6 +74,19 @@ def test_coverage_target_rejects_bad_input():
         coverage_target(-1, HALF)
 
 
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_float_proportions_rejected(p):
+    # A float converts exactly: 0.1 lies just above 1/10, so it would ask
+    # for 2 of 10 vertices where 1/10 asks for 1.
+    g = from_edges(10, [])
+    with pytest.raises(TypeError, match="Fraction"):
+        coverage_target(10, p)
+    with pytest.raises(TypeError, match="Fraction"):
+        partial_domination_number(g, p)
+    with pytest.raises(TypeError, match="Fraction"):
+        is_p_dominating(g, 0, p)
+
+
 def test_is_p_dominating():
     g = subdivided_star(8)
     center = mask_of([0])
@@ -293,6 +306,7 @@ def test_kernel_modes_match_brute_on_sparse_graphs(g):
     # Larger graphs reach memo states the small_graphs strategy does not:
     # a memo key without the cursor drops hits here.
     n = g.order
+    swept = dict(influencing_sweep(g))
     for k in range(1, n + 1):
         p = Fraction(k, n)
         expected = brute_minimum_sets(g, p)
@@ -300,7 +314,9 @@ def test_kernel_modes_match_brute_on_sparse_graphs(g):
         assert result.size == len(expected[0])
         assert members(result.witness) == expected[0]
         assert [members(s) for s in all_minimum_sets(g, p).sets] == expected
-        assert set(members(influencing_set(g, p))) == set().union(*expected)
+        union = set().union(*expected)
+        assert set(members(influencing_set(g, p))) == union
+        assert set(members(swept[p])) == union
 
 
 def _union_of_family(g: Graph, p: Fraction) -> int:
@@ -370,6 +386,8 @@ def test_failure_memo_keeps_union_pruned_subtrees():
     # subtree as a failure would drop {3,4}, below which lie the only
     # minimum sets with vertex 3.
     g = from_edges(10, [(0, 9), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5), (5, 6), (6, 9)])
+    swept = dict(influencing_sweep(g))
     for k in range(1, 11):
         p = Fraction(k, 10)
         assert set(members(influencing_set(g, p))) == brute_influencing(g, p)
+        assert set(members(swept[p])) == brute_influencing(g, p)

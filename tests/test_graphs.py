@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -38,6 +39,10 @@ def test_mask_helpers_round_trip():
     assert format_vertex_set(0) == "{}"
     with pytest.raises(ValueError):
         mask_of([-1])
+    with pytest.raises(ValueError):
+        members(-1)  # the lowest-bit loop never ends on a negative int
+    with pytest.raises(ValueError):
+        format_vertex_set(-1)
 
 
 @SEEDED
@@ -146,6 +151,18 @@ def test_generator_shapes():
         star(0)
     with pytest.raises(ValueError):
         subdivided_star(0)
+
+
+@pytest.mark.parametrize("make", [cycle, complete, subdivided_star])
+def test_generators_check_cap_before_building_edges(make):
+    tracemalloc.start()
+    try:
+        with pytest.raises(VertexCapError):
+            make(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_subdivided_star_shape():

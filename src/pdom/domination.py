@@ -7,30 +7,51 @@ targets and builds its tables once; target 0 yields the empty set. Sizes
 are tried upward from the counting bound ceil(target / max |N[v]|), or
 from the previous target's size if larger (gamma_p never decreases in p),
 so the first size with a hit is optimal. Each size runs one depth-first
-search over k-subsets in ascending vertex order, which visits candidate
-sets in lexicographic order. The search has three modes:
+search over k-subsets of the vertices in a fixed candidate order, which
+visits candidate sets in lexicographic order of their positions in it.
+The search has three modes:
 
 - first: stop at the first hit, the lexicographically least optimum
   (partial_domination_number);
-- all: collect every hit, sorted and duplicate free (all_minimum_sets);
+- all: collect every hit, sorted into lexicographic order of the vertex
+  labels and duplicate free (all_minimum_sets);
 - union: keep only the OR of the hits so far (influencing_set and
   influencing_sweep), so the influencing set is found without listing
   the family.
 
-Before picking vertex i the search applies two bounds, and both only
-tighten as i grows, so either one ends the scan of the remaining
-candidates:
+The candidate order. "all" and "union" mode outputs do not depend on it,
+so they may take breadth-first layers (Cuthill and McKee, "Reducing the
+bandwidth of sparse symmetric matrices", 1969): from the lowest-labelled
+vertex of minimum degree, each layer in label order, restarted in each
+component. Neighbors then sit close together, and a vertex is dead, out
+of reach of every pick still to come, once the search passes its last
+neighbor. The layers are used only when vertices die sooner under them:
+when the sum over positions i of |N[v_i] | ... | N[v_n-1]| (the vertices
+some pick at position i or later still reaches) falls below that sum
+under label order, which is the sum of max(N[v]) + 1 over v. Otherwise,
+and always in "first" mode, the order is label order. "first" mode keeps
+it because its witness is lex-least in the labels: under another order the
+first hit is some other optimum, and rebuilding the lex-least one costs
+more than the order saves on the many small product solves of a scan.
+Under label order a labelling with large bandwidth leaves vertices alive
+until late and the search slows by orders of magnitude; with the layers
+"all" and "union" run about as fast on any labelling of a graph.
+
+Before picking the vertex at position i the search applies two bounds,
+and both only tighten as i grows, so either one ends the scan of the
+remaining candidates:
 
 - coverage: covered + picks_left * (largest closed neighborhood among
-  vertices >= i) cannot reach the target;
-- slack: more vertices are still uncovered, with their whole closed
-  neighborhood below i, than the n - target vertices allowed to stay
-  uncovered; no later pick can reach them.
+  positions >= i) cannot reach the target;
+- slack: more vertices are still uncovered and dead at i (no pick at
+  position i or later reaches them) than the n - target vertices allowed
+  to stay uncovered.
 
 In union mode a node is also dropped on entry when the chosen vertices
-and every vertex it could still pick all lie in the union already: no hit
-below it can add a vertex. The union is empty until the first hit, so
-this prune never changes which size is found minimum.
+and every vertex it could still pick (those at positions from its cursor
+on) all lie in the union already: no hit below it can add a vertex. The
+union is empty until the first hit, so this prune never changes which
+size is found minimum.
 
 The third prune is a failure memo. No pick at or after the cursor i can
 cover a vertex of dead[i], so whether a node's subtree holds a hit depends
@@ -56,7 +77,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Literal
 
-from .graphs import Graph
+from .graphs import Graph, members
 
 Mode = Literal["first", "all", "union"]
 
@@ -103,6 +124,34 @@ class SetFamily:
     sets: tuple[int, ...]
 
 
+def _breadth_first(adj: tuple[int, ...]) -> list[int]:
+    """Vertices in breadth-first layers, each layer in label order.
+
+    Each component starts from the lowest-labelled vertex of minimum degree
+    among the vertices not yet placed (Cuthill and McKee, 1969).
+    """
+    degree = [row.bit_count() for row in adj]
+    order: list[int] = []
+    left = (1 << len(adj)) - 1
+    start = degree.index(min(degree)) if adj else 0
+    while left:
+        frontier = 1 << start
+        left ^= frontier
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                v = low.bit_length() - 1
+                order.append(v)
+                reach |= adj[v]
+                frontier ^= low
+            frontier = reach & left
+            left ^= frontier
+        if left:
+            start = min(members(left), key=degree.__getitem__)
+    return order
+
+
 def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tuple[int, int, list[int]]]:
     """Yield (k, found, hits) for each of the ascending targets, in turn.
 
@@ -114,21 +163,43 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
     """
     n = g.order
     closed = [row | 1 << v for v, row in enumerate(g.adj)]
-    best = [0] * (n + 1)  # best[i]: largest |N[v]| over v >= i
-    dead = [0] * (n + 1)  # dead[i]: vertices u with N[u] entirely below i
-    for v in range(n - 1, -1, -1):
-        best[v] = max(best[v + 1], closed[v].bit_count())
-    for u in range(n):
-        dead[closed[u].bit_length()] |= 1 << u
-    for i in range(1, n + 1):
-        dead[i] |= dead[i - 1]
+    order: list[int] | range = range(n)
+    reordered = False  # is the candidate order other than label order?
+    if mode != "first":
+        bfs = _breadth_first(g.adj)
+        reach = profile = 0
+        for v in reversed(bfs):
+            reach |= closed[v]
+            profile += reach.bit_count()
+        # Under label order vertex u stays reachable up to position
+        # max(N[u]), so that order's profile is the sum of bit lengths.
+        if profile < sum(c.bit_length() for c in closed):
+            order, reordered = bfs, True
+    # Tables indexed by position i in the candidate order.
     full = g.full_mask
+    cl = [0] * n  # cl[i]: N[order[i]]
+    bit = [0] * n  # bit[i]: order[i] as a mask
+    best = [0] * (n + 1)  # best[i]: largest |N[v]| over positions >= i
+    suffix = [0] * (n + 1)  # suffix[i]: the vertices at positions >= i
+    dead = [full] * (n + 1)  # dead[i]: vertices no pick at a position >= i can cover
+    reach = top = tail = 0
+    for i in range(n - 1, -1, -1):
+        v = order[i]
+        cl[i] = c = closed[v]
+        bit[i] = b = 1 << v
+        size = c.bit_count()
+        if size > top:
+            top = size
+        best[i] = top
+        suffix[i] = tail = tail | b
+        reach |= c
+        dead[i] = full ^ reach
     first_only = mode == "first"
     union = mode == "union"
 
     def search(first: int, left: int, covered: int, chosen: int) -> bool:
         nonlocal found, events
-        if union and not (chosen | full >> first << first) & ~found:
+        if union and not (chosen | suffix[first]) & ~found:
             events += 1  # the hits skipped here may exist, so no failure is recorded above
             return False  # every hit below here lies inside found already
         key = 0
@@ -145,10 +216,10 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
             if count + left * best[i] < target or (dead[i] & uncovered).bit_count() > slack:
                 break  # both bounds only tighten as i grows
             if left > 1:
-                if search(i + 1, left - 1, covered | closed[i], chosen | 1 << i):
+                if search(i + 1, left - 1, covered | cl[i], chosen | bit[i]):
                     return True
-            elif (covered | closed[i]).bit_count() >= target:
-                hit = chosen | 1 << i
+            elif (covered | cl[i]).bit_count() >= target:
+                hit = chosen | bit[i]
                 found |= hit
                 events += 1
                 if first_only:
@@ -180,6 +251,11 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
                 break
         else:  # pragma: no cover
             raise AssertionError("the whole vertex set covers every vertex")
+        if reordered:
+            # Lex order in the caller's labels: the set holding the least
+            # vertex at which two sets differ comes first. The key lists
+            # the set's bits from vertex 0 up, so that set sorts last.
+            hits.sort(key=lambda h: f"{h:0{n}b}"[::-1], reverse=True)
         yield k, found, hits
 
 

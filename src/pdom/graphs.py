@@ -68,10 +68,14 @@ class Graph:
                 raise ValueError(f"neighborhood of vertex {v} mentions vertices >= {n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(n):
-            for u in members(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        adj = self.adj
+        for v, row in enumerate(adj):
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     @property
     def order(self) -> int:

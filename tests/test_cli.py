@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -133,6 +134,126 @@ def test_influence_sweep_subdivided_star_golden(capsys):
         "p=20/21 influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
         "p=21/21 influencing = {1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20}\n"
         "intersection = {}\n"
+    )
+
+
+def _write_relabelled_grid(file: Path, rows: int, cols: int, seed: int) -> None:
+    """The grid P_rows x P_cols as an edge list, under a seeded labelling."""
+    g = cartesian_product(path(rows), path(cols))
+    labels = list(range(g.order))
+    random.Random(seed).shuffle(labels)
+    file.write_text(f"n {g.order}\n" + "".join(f"{labels[u]} {labels[v]}\n" for u, v in g.edges()))
+
+
+def test_enumerate_relabelled_grid_golden(tmp_path, capsys):
+    # The search takes a breadth-first candidate order here, so the 92
+    # minimum dominating sets are found out of lex order and sorted back.
+    file = tmp_path / "grid.txt"
+    _write_relabelled_grid(file, 4, 6, seed=1)
+    assert main(["enumerate", "--file", str(file), "--p", "1/1"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "{0,1,4,6,7,8,11}\n"
+        "{0,1,4,6,8,11,13}\n"
+        "{0,1,4,6,8,11,21}\n"
+        "{0,1,4,8,11,16,21}\n"
+        "{0,1,6,7,8,11,18}\n"
+        "{0,3,4,5,7,12,23}\n"
+        "{0,3,4,5,12,13,23}\n"
+        "{0,3,4,5,12,21,23}\n"
+        "{0,3,5,7,12,18,23}\n"
+        "{0,3,5,7,16,18,23}\n"
+        "{0,5,7,15,16,18,23}\n"
+        "{1,2,3,9,11,14,21}\n"
+        "{1,2,3,9,14,20,21}\n"
+        "{1,2,6,8,11,13,14}\n"
+        "{1,2,6,8,11,14,21}\n"
+        "{1,2,6,11,13,14,19}\n"
+        "{1,2,6,11,14,19,21}\n"
+        "{1,2,8,9,11,14,21}\n"
+        "{1,2,8,9,14,20,21}\n"
+        "{1,2,9,11,14,15,21}\n"
+        "{1,2,9,11,14,19,21}\n"
+        "{1,2,9,14,15,20,21}\n"
+        "{1,2,9,14,19,20,21}\n"
+        "{1,3,4,6,11,12,13}\n"
+        "{1,3,7,11,16,17,18}\n"
+        "{1,4,6,8,11,12,13}\n"
+        "{1,4,6,8,11,13,14}\n"
+        "{1,4,6,8,11,13,18}\n"
+        "{1,4,6,8,11,13,22}\n"
+        "{1,4,6,8,11,14,21}\n"
+        "{1,6,7,8,11,13,18}\n"
+        "{1,6,7,8,11,17,18}\n"
+        "{1,6,7,8,11,18,21}\n"
+        "{1,6,8,11,13,14,18}\n"
+        "{1,6,8,11,13,14,22}\n"
+        "{1,6,8,11,13,18,22}\n"
+        "{1,6,8,11,14,18,21}\n"
+        "{1,6,8,11,14,21,22}\n"
+        "{1,7,8,11,16,17,18}\n"
+        "{1,7,11,15,16,17,18}\n"
+        "{1,7,11,16,17,18,19}\n"
+        "{1,7,16,17,18,19,20}\n"
+        "{1,8,9,11,14,21,22}\n"
+        "{1,8,9,14,20,21,22}\n"
+        "{2,3,5,9,10,14,21}\n"
+        "{2,3,5,9,11,14,21}\n"
+        "{2,3,5,9,14,20,21}\n"
+        "{2,3,5,9,14,21,23}\n"
+        "{2,3,5,12,14,21,23}\n"
+        "{2,3,9,14,15,20,21}\n"
+        "{2,3,9,14,19,20,21}\n"
+        "{2,5,9,10,14,15,21}\n"
+        "{2,9,10,11,14,15,21}\n"
+        "{2,9,10,14,15,20,21}\n"
+        "{2,9,14,15,16,20,21}\n"
+        "{2,9,14,15,19,20,21}\n"
+        "{2,10,11,12,14,15,21}\n"
+        "{3,4,5,6,11,12,13}\n"
+        "{3,4,5,6,12,13,23}\n"
+        "{3,4,5,7,10,12,17}\n"
+        "{3,4,5,7,12,13,23}\n"
+        "{3,4,5,7,12,17,23}\n"
+        "{3,4,5,7,12,21,23}\n"
+        "{3,4,5,12,13,21,23}\n"
+        "{3,4,5,12,13,22,23}\n"
+        "{3,4,5,12,14,21,23}\n"
+        "{3,5,7,10,12,17,18}\n"
+        "{3,5,7,10,16,17,18}\n"
+        "{3,5,7,11,16,17,18}\n"
+        "{3,5,7,12,13,18,23}\n"
+        "{3,5,7,12,17,18,23}\n"
+        "{3,5,7,12,18,21,23}\n"
+        "{3,5,7,16,17,18,20}\n"
+        "{3,5,7,16,17,18,23}\n"
+        "{3,5,9,13,18,22,23}\n"
+        "{3,5,12,13,14,22,23}\n"
+        "{3,5,12,13,18,22,23}\n"
+        "{3,5,12,14,18,21,23}\n"
+        "{3,5,12,14,21,22,23}\n"
+        "{3,6,7,17,18,19,20}\n"
+        "{3,7,16,17,18,19,20}\n"
+        "{5,7,10,15,16,17,18}\n"
+        "{5,7,11,15,16,17,18}\n"
+        "{5,7,15,16,17,18,20}\n"
+        "{5,7,15,16,17,18,23}\n"
+        "{7,9,15,16,17,18,20}\n"
+        "{7,9,15,16,18,20,21}\n"
+        "{7,10,11,15,16,17,18}\n"
+        "{7,10,15,16,17,18,20}\n"
+        "{7,11,15,16,17,18,20}\n"
+        "{7,15,16,17,18,19,20}\n"
+        "{9,14,15,16,18,20,21}\n"
+    )
+
+
+def test_influence_relabelled_grid_golden(tmp_path, capsys):
+    file = tmp_path / "grid.txt"
+    _write_relabelled_grid(file, 5, 6, seed=1)
+    assert main(["influence", "--file", str(file), "--p", "3/4"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "influencing = {0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,"
+        "15,16,17,18,19,20,21,22,23,24,25,26,27,28,29}\n"
     )
 
 

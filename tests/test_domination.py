@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdom.domination import (
     SetFamily,
     SolveResult,
+    _breadth_first,
+    _minimum_covers,
     all_minimum_sets,
     coverage_target,
     domination_number,
@@ -391,3 +394,53 @@ def test_failure_memo_keeps_union_pruned_subtrees():
         p = Fraction(k, 10)
         assert set(members(influencing_set(g, p))) == brute_influencing(g, p)
         assert set(members(swept[p])) == brute_influencing(g, p)
+
+
+def test_family_in_lex_order_under_breadth_first_order():
+    # The path 2-0-1-3. Breadth-first from 2 gives the order 2, 0, 1, 3,
+    # under which vertices die sooner (profile 13 against 14 for label
+    # order), so the family is searched in that order and must be sorted
+    # back: lex order puts {0,3} before {1,2}, integer order does not, and
+    # the search meets {1,2} first.
+    g = from_edges(4, [(2, 0), (0, 1), (1, 3)])
+    assert _breadth_first(g.adj) == [2, 0, 1, 3]
+    family = all_minimum_sets(g, Fraction(1))
+    assert family == SetFamily(2, tuple(mask_of(s) for s in [(0, 1), (0, 3), (1, 2), (2, 3)]))
+    assert list(family.sets) != sorted(family.sets)
+    assert influencing_set(g, Fraction(1)) == g.full_mask
+
+
+def _image(mask: int, perm: list[int]) -> int:
+    return mask_of(perm[v] for v in members(mask))
+
+
+def _assert_relabelling_invariant(g: Graph, perm: list[int]) -> None:
+    # g and its relabelling often take different candidate orders (label
+    # order for one, breadth-first for the other), so this checks that
+    # no output depends on the order.
+    h = from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+    n = g.order
+    for k in range(n + 1):
+        p = Fraction(k, n)
+        target = coverage_target(n, p)
+        sizes = {next(_minimum_covers(x, mode, [target]))[0] for x in (g, h) for mode in ("first", "all", "union")}
+        assert len(sizes) == 1
+        image = sorted((_image(s, perm) for s in all_minimum_sets(g, p).sets), key=members)
+        assert all_minimum_sets(h, p).sets == tuple(image)
+        assert influencing_set(h, p) == _image(influencing_set(g, p), perm)
+    assert list(influencing_sweep(h)) == [(p, _image(s, perm)) for p, s in influencing_sweep(g)]
+
+
+@SEEDED
+@given(st.data())
+def test_relabelling_invariance_on_small_graphs(data):
+    g = data.draw(small_graphs())
+    _assert_relabelling_invariant(g, data.draw(st.permutations(range(g.order))))
+
+
+# About 30 ms per example (every p, both labellings, three modes), so fewer.
+@settings(SEEDED, max_examples=40)
+@given(st.data())
+def test_relabelling_invariance_on_sparse_graphs(data):
+    g = data.draw(sparse_graphs())
+    _assert_relabelling_invariant(g, data.draw(st.permutations(range(g.order))))

@@ -67,6 +67,15 @@ def test_construction_rejects_bad_adjacency():
         from_edges(MAX_VERTICES + 1, [])
 
 
+def test_asymmetric_adjacency_reports_first_pair():
+    # Rows are checked in vertex order and each row's neighbours upward:
+    # 2 is the first neighbour whose row lacks its partner (0), though 3's
+    # row also lacks 1.
+    adj = (mask_of([1, 2]), mask_of([0, 3]), mask_of([3]), mask_of([2]))
+    with pytest.raises(ValueError, match=r"^asymmetric adjacency between 2 and 0$"):
+        Graph(adj)
+
+
 def test_from_edges_validation():
     with pytest.raises(ValueError):
         from_edges(3, [(0, 0)])

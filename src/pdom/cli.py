@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .conjecture import REPORT_HEADER, scan_conjecture
+from .conjecture import REPORT_HEADER, enumerate_graphs, scan_conjecture
 from .domination import (
     all_minimum_sets,
     coverage_target,
@@ -60,7 +60,7 @@ _FAMILIES = {
 
 def parse_proportion(text: str) -> Fraction:
     """Exact 'num/den' only; decimals are rejected to keep p rational end to end."""
-    m = re.fullmatch(r"(\d+)/(\d+)", text)
+    m = re.fullmatch(r"([0-9]+)/([0-9]+)", text)
     if not m:
         raise ValueError(f"p must be written as num/den, got {text!r}")
     num, den = int(m.group(1)), int(m.group(2))
@@ -151,14 +151,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    if args.graphs is not None and args.include_disconnected:
+        raise ValueError("--include-disconnected applies only to --max-order scans")
     p = parse_proportion(args.p)
     if args.graphs is not None:
+        family = "external"
         members = read_graph6_lines(Path(args.graphs).read_text())
-        outcome = scan_conjecture(p, graphs=members)
     else:
-        outcome = scan_conjecture(p, max_order=args.max_order, include_disconnected=args.include_disconnected)
+        family = "all" if args.include_disconnected else "connected"
+        members = enumerate_graphs(args.max_order, connected=not args.include_disconnected)
+    outcome = scan_conjecture(p, members)
     print(REPORT_HEADER)
-    print(f"# family={outcome.family}")
+    print(f"# family={family}")
     for report in outcome.failures:
         print(report.record())
     print(f"pairs={outcome.pairs}, failures={len(outcome.failures)}")
@@ -220,9 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    if getattr(args, "include_disconnected", False) and getattr(args, "graphs", None) is not None:
-        print("error: --include-disconnected applies only to --max-order scans", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.func(args)
     except VertexCapError as exc:

@@ -1,7 +1,9 @@
 """Exhaustive small-order verification of the product lower bound.
 
 The claim under test: the half (or general p) domination number of a
-Cartesian product is at least the product of the factors' numbers. Factor
+Cartesian product is at least the product of the factors' numbers. One
+product check, `_product_report`, makes that comparison both for the scan
+over a family and for `check_product_inequality` on a single pair. Factor
 graphs come from an orderly enumeration of simple graphs up to isomorphism
 (R. C. Read, "Every one a winner", 1978; B. D. McKay, "Isomorph-free
 exhaustive generation", 1998). A class is represented by its least edge
@@ -26,14 +28,7 @@ from typing import Iterable, Iterator
 
 from .domination import as_proportion, partial_domination_number
 from .formats import write_graph6
-from .graphs import (
-    MAX_VERTICES,
-    Graph,
-    VertexCapError,
-    cartesian_product,
-    format_vertex_set,
-    path,
-)
+from .graphs import Graph, cartesian_product, format_vertex_set
 
 MAX_ENUM_ORDER = 7
 
@@ -139,11 +134,10 @@ class ScanReport:
 
 @dataclass(frozen=True)
 class ScanOutcome:
-    """Failures only, plus the number of pairs checked and the family label."""
+    """Failures only, plus the number of pairs checked."""
 
     pairs: int
     failures: tuple[ScanReport, ...]
-    family: str
 
 
 def _product_report(g: Graph, h: Graph, p: Fraction, gp_g: int, gp_h: int, g6_g: str, g6_h: str) -> ScanReport:
@@ -171,28 +165,12 @@ def check_product_inequality(g: Graph, h: Graph, p: Fraction | int) -> ScanRepor
     return _product_report(g, h, p, gp_g, gp_h, write_graph6(g), write_graph6(h))
 
 
-def scan_conjecture(
-    p: Fraction | int,
-    *,
-    max_order: int | None = None,
-    graphs: Iterable[Graph] | None = None,
-    include_disconnected: bool = False,
-) -> ScanOutcome:
+def scan_conjecture(p: Fraction | int, graphs: Iterable[Graph]) -> ScanOutcome:
     """Check the product inequality over all unordered pairs (self-pairs
-    included) from an enumerated or supplied family, in lexicographic graph6
-    pair order. Only failing reports are kept."""
+    included) of the given graphs, in lexicographic graph6 pair order, with
+    one factor solve per graph. Only failing reports are kept."""
     p = as_proportion(p)
-    if (max_order is None) == (graphs is None):
-        raise ValueError("pass exactly one of max_order or graphs")
-    if max_order is not None:
-        family = "all" if include_disconnected else "connected"
-        members = list(enumerate_graphs(max_order, connected=not include_disconnected))
-    else:
-        if include_disconnected:
-            raise ValueError("include_disconnected applies only to enumerated scans")
-        family = "external"
-        members = list(graphs)
-    entries = sorted(((write_graph6(g), g) for g in members), key=lambda e: e[0])
+    entries = sorted(((write_graph6(g), g) for g in graphs), key=lambda e: e[0])
     values = [partial_domination_number(g, p).size for _, g in entries]
     failures = []
     pairs = 0
@@ -204,57 +182,4 @@ def scan_conjecture(
             report = _product_report(g, h, p, values[i], values[j], g6_g, g6_h)
             if not report.holds:
                 failures.append(report)
-    return ScanOutcome(pairs=pairs, failures=tuple(failures), family=family)
-
-
-@dataclass(frozen=True)
-class ProductCheck:
-    """Verdict of one lower-bound check against a path factor, with the
-    computed quantities attached. Inapplicable checks hold vacuously."""
-
-    applicable: bool
-    holds: bool
-    base: int
-    factor: int
-    product_value: int
-    bound: int
-
-
-_HALF = Fraction(1, 2)
-
-
-def check_p2_product_bound(g: Graph) -> ProductCheck:
-    """Half-domination of g x P2 must be at least that of g alone."""
-    base = partial_domination_number(g, _HALF).size
-    product_value = partial_domination_number(cartesian_product(g, path(2)), _HALF).size
-    return ProductCheck(
-        applicable=True,
-        holds=product_value >= base,
-        base=base,
-        factor=partial_domination_number(path(2), _HALF).size,
-        product_value=product_value,
-        bound=base,
-    )
-
-
-def check_path_product_scaling(g: Graph, m: int) -> ProductCheck:
-    """When half-domination of g is 1, 2, or 3, the product with P_m must be
-    at least that value times the path's own number; other base values are
-    out of scope and hold vacuously."""
-    if m < 2:
-        raise ValueError(f"path factor needs at least 2 vertices, got {m}")
-    if g.order * m > MAX_VERTICES:
-        raise VertexCapError(f"product order {g.order * m} exceeds the cap of {MAX_VERTICES}")
-    base = partial_domination_number(g, _HALF).size
-    factor = partial_domination_number(path(m), _HALF).size
-    product_value = partial_domination_number(cartesian_product(g, path(m)), _HALF).size
-    applicable = base in (1, 2, 3)
-    bound = base * factor
-    return ProductCheck(
-        applicable=applicable,
-        holds=product_value >= bound if applicable else True,
-        base=base,
-        factor=factor,
-        product_value=product_value,
-        bound=bound,
-    )
+    return ScanOutcome(pairs=pairs, failures=tuple(failures))

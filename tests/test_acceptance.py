@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from pdom.conjecture import check_p2_product_bound, check_path_product_scaling, enumerate_graphs, scan_conjecture
+from pdom.conjecture import check_product_inequality, enumerate_graphs, scan_conjecture
 from pdom.domination import (
     all_minimum_sets,
     influencing_intersection,
@@ -115,7 +115,7 @@ def test_criterion_4_path_complete_product_formula():
 
 def test_criterion_5_product_bound_scan_order_five():
     start = time.perf_counter()
-    outcome = scan_conjecture(HALF, max_order=5)
+    outcome = scan_conjecture(HALF, enumerate_graphs(5))
     elapsed = time.perf_counter() - start
     for report in outcome.failures:
         print(f"  failing pair: {report.record()}")
@@ -127,12 +127,12 @@ def test_criterion_6_product_path_bounds():
     start = time.perf_counter()
     violations = []
     for g in enumerate_graphs(5, connected=True):
-        if not check_p2_product_bound(g).holds:
-            violations.append((write_graph6(g), 2, "p2 bound"))
         for m in range(2, 7):
-            verdict = check_path_product_scaling(g, m)
-            if not verdict.holds:
-                violations.append((write_graph6(g), m, f"base {verdict.base}"))
+            # m = 2 is the P2 bound, for every base since gamma_{1/2}(P2) = 1;
+            # for m >= 3 the scaling claim covers bases 1, 2 and 3 only
+            report = check_product_inequality(g, path(m), HALF)
+            if not report.holds and (m == 2 or report.gp_g in (1, 2, 3)):
+                violations.append((write_graph6(g), m, f"base {report.gp_g}"))
     elapsed = time.perf_counter() - start
     for row in violations:
         print(f"  violation: {row}")

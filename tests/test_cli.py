@@ -14,6 +14,7 @@ from pdom.cli import (
     EXIT_CAP,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_SCAN_FAILURE,
     build_parser,
     graph_from_generator,
     main,
@@ -37,7 +38,7 @@ def test_parse_proportion(text, expected):
     assert parse_proportion(text) == expected
 
 
-@pytest.mark.parametrize("text", ["0.5", "1", "/2", "3/", "3/2", "1/0", "-1/2", "a/b", "1 / 2"])
+@pytest.mark.parametrize("text", ["0.5", "1", "/2", "3/", "3/2", "1/0", "-1/2", "a/b", "1 / 2", "١/٢", "１/２"])
 def test_parse_proportion_rejects(text):
     with pytest.raises(ValueError):
         parse_proportion(text)
@@ -284,6 +285,18 @@ def test_scan_connected_order_three(capsys):
         "# g6_g g6_h p gp_g gp_h gp_prod holds",
         "# family=connected",
         "pairs=10, failures=0",
+    ]
+
+
+def test_scan_failing_pairs_golden(capsys):
+    # C4 x C4 at 4/5 needs only 3 vertices, against 2 * 2 for the factors
+    assert main(["scan", "--max-order", "4", "--p", "4/5"]) == EXIT_SCAN_FAILURE
+    assert capsys.readouterr().out.splitlines() == [
+        "# g6_g g6_h p gp_g gp_h gp_prod holds",
+        "# family=connected",
+        "C] C] 4/5 2 2 3 false witness={0,1,6}",
+        "C] Ck 4/5 2 2 3 false witness={0,2,5}",
+        "pairs=55, failures=2",
     ]
 
 

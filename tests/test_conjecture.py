@@ -12,14 +12,12 @@ from hypothesis import given
 from pdom.conjecture import (
     REPORT_HEADER,
     ScanReport,
-    check_p2_product_bound,
-    check_path_product_scaling,
     check_product_inequality,
     enumerate_graphs,
     scan_conjecture,
 )
 from pdom.domination import partial_domination_number
-from pdom.formats import write_graph6
+from pdom.formats import parse_graph6, write_graph6
 from pdom.graphs import Graph, VertexCapError, cartesian_product, complete, mask_of, path
 
 from brute import brute_canonical, brute_connected
@@ -133,6 +131,11 @@ def test_product_inequality_examples():
     report = check_product_inequality(complete(3), complete(3), HALF)
     assert (report.gp_g, report.gp_h, report.gp_product, report.holds) == (1, 1, 1, True)
 
+    c4 = parse_graph6("C]")
+    report = check_product_inequality(c4, c4, Fraction(4, 5))
+    assert (report.gp_g, report.gp_h, report.gp_product, report.holds) == (2, 2, 3, False)
+    assert report.record().endswith(" witness={0,1,6}")
+
 
 @SEEDED
 @given(small_graphs(max_order=4), small_graphs(max_order=4))
@@ -158,67 +161,57 @@ def test_failure_record_carries_witness():
 
 @pytest.mark.parametrize("max_order,expected_pairs", [(3, 10), (4, 55), (5, 496)])
 def test_scan_finds_no_failures_on_small_connected_orders(max_order, expected_pairs):
-    outcome = scan_conjecture(HALF, max_order=max_order)
+    outcome = scan_conjecture(HALF, enumerate_graphs(max_order))
     assert outcome.pairs == expected_pairs
     assert outcome.failures == ()
-    assert outcome.family == "connected"
 
 
 @pytest.mark.parametrize("max_order,expected_pairs", [(3, 10), (4, 55)])
 def test_scan_holds_for_full_domination_too(max_order, expected_pairs):
-    outcome = scan_conjecture(1, max_order=max_order)
+    outcome = scan_conjecture(1, enumerate_graphs(max_order))
     assert (outcome.pairs, outcome.failures) == (expected_pairs, ())
 
 
 def test_scan_with_disconnected_graphs():
-    outcome = scan_conjecture(HALF, max_order=3, include_disconnected=True)
+    outcome = scan_conjecture(HALF, enumerate_graphs(3, connected=False))
     # 7 classes up to order 3, all unordered pairs with repetition
     assert outcome.pairs == 28
     assert outcome.failures == ()
-    assert outcome.family == "all"
 
 
 def test_scan_external_family():
-    outcome = scan_conjecture(HALF, graphs=[path(2), path(3)])
+    outcome = scan_conjecture(HALF, [path(2), path(3)])
     assert outcome.pairs == 3
-    assert outcome.family == "external"
     assert outcome.failures == ()
 
 
-def test_scan_requires_exactly_one_source():
-    with pytest.raises(ValueError):
-        scan_conjecture(HALF)
-    with pytest.raises(ValueError):
-        scan_conjecture(HALF, max_order=3, graphs=[path(2)])
-    with pytest.raises(ValueError):
-        scan_conjecture(HALF, graphs=[path(2)], include_disconnected=True)
-
-
 def test_p2_and_path_scaling_bounds_hold_on_all_small_graphs(graphs_upto_6):
-    # covers the disconnected regime, where the base value exceeds 1
+    # covers the disconnected regime, where the base value exceeds 1. At
+    # m = 2 the check is the P2 bound, gamma_{1/2}(G x P2) >= gamma_{1/2}(G),
+    # because gamma_{1/2}(P2) = 1; for m >= 3 the scaling claim covers bases
+    # 1, 2 and 3 only, and every graph of order <= 5 has such a base.
     upto_5 = [g for g in graphs_upto_6 if g.order <= 5]
     bases = Counter()
     for g in upto_5:
-        assert check_p2_product_bound(g).holds
         for m in range(2, 7):
-            verdict = check_path_product_scaling(g, m)
-            assert verdict.holds, (g.adj, m)
-            assert verdict.applicable
-            assert verdict.bound == verdict.base * verdict.factor
-            bases[verdict.base] += 1
+            report = check_product_inequality(g, path(m), HALF)
+            assert report.gp_g in (1, 2, 3)
+            assert m > 2 or report.gp_h == 1
+            assert report.holds, (g.adj, m)
+            bases[report.gp_g] += 1
     assert bases == {1: 235, 2: 20, 3: 5}
 
 
 def test_path_scaling_is_vacuous_for_large_base():
+    # base 4 is outside the scaling claim for m >= 3; only the P2 bound applies
     sparse = Graph((0,) * 7)  # half-domination number 4
-    verdict = check_path_product_scaling(sparse, 2)
-    assert not verdict.applicable
-    assert verdict.holds
-    assert (verdict.base, verdict.factor, verdict.product_value) == (4, 1, 4)
+    report = check_product_inequality(sparse, path(2), HALF)
+    assert report.holds
+    assert (report.gp_g, report.gp_h, report.gp_product) == (4, 1, 4)
 
 
 def test_path_scaling_validation():
     with pytest.raises(ValueError):
-        check_path_product_scaling(path(3), 1)
-    with pytest.raises(VertexCapError):
-        check_path_product_scaling(path(7), 10)
+        check_product_inequality(path(3), path(2), Fraction(3, 2))
+    with pytest.raises(TypeError):
+        check_product_inequality(path(3), path(2), 0.5)

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .conjecture import REPORT_HEADER, enumerate_graphs, scan_conjecture
+from .conjecture import MAX_ENUM_ORDER, REPORT_HEADER, enumerate_graphs, scan_conjecture
 from .domination import (
     all_minimum_sets,
     coverage_target,
@@ -158,6 +158,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         family = "external"
         members = read_graph6_lines(Path(args.graphs).read_text())
     else:
+        if not 1 <= args.max_order <= MAX_ENUM_ORDER:
+            raise ValueError(f"--max-order must be in 1..{MAX_ENUM_ORDER}, got {args.max_order}")
         family = "all" if args.include_disconnected else "connected"
         members = enumerate_graphs(args.max_order, connected=not args.include_disconnected)
     outcome = scan_conjecture(p, members)

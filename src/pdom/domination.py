@@ -65,6 +65,26 @@ size; it is used only when the slack n - target is positive (at zero
 slack it saves too little to pay for itself) and only at nodes with two or
 more picks left (a node with one pick left is a single scan).
 
+The fourth prune, a packing bound, takes the memo's place at zero slack
+(p = 1), where every vertex must end up covered. On entry a node packs
+its uncovered vertices greedily: it takes the lowest one, u, and drops
+every vertex within distance 2 of u, since their closed neighborhoods
+meet N[u], then repeats on what is left. The packed vertices have
+pairwise disjoint closed neighborhoods, so no pick covers two of them and
+each needs a pick of its own; once more are packed than picks are left,
+the subtree holds no hit and is dropped. This is the 2-packing argument
+behind "rho(G) = gamma(G) implies Vizing's inequality" (Bresar et al.,
+"Vizing's conjecture: a survey and recent results", 2012). It drops only
+subtrees without a hit, so no mode's output changes. The bound turns on
+once a size at zero slack has failed, and the sets of vertices beyond
+distance 2, far[u], are built then, once per kernel call. A first size
+that holds a hit, the usual case in a sweep, which starts there from the
+previous target's size, builds nothing: on small graphs the table costs
+more than the bound saves. With slack the same bound holds with
+left + slack in place of left (a packed vertex no pick covers uses up a
+unit of slack), but it saves no nodes on grids at p = 3/4 and makes them
+about three times slower.
+
 Proportions are exact rationals, int or Fraction (a float is rejected:
 0.1 is not 1/10); coverage targets use integer ceiling arithmetic.
 """
@@ -203,7 +223,17 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
             events += 1  # the hits skipped here may exist, so no failure is recorded above
             return False  # every hit below here lies inside found already
         key = 0
-        if left >= memo_from:
+        if pack:
+            # Greedy 2-packing of the uncovered vertices: no vertex covers
+            # two of them, so each needs a pick of its own.
+            t = full ^ covered
+            q = left
+            while t:
+                if not q:
+                    return False  # more than left of them are packed
+                q -= 1
+                t &= far[(t & -t).bit_length() - 1]
+        elif left >= memo_from:
             live = covered & ~dead[first]
             key = live << 14 | left << 7 | first
             held = (covered ^ live).bit_count()
@@ -244,11 +274,16 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
         # memo_from use it, so none do at zero slack.
         memo: dict[int, int] = {}
         memo_from = 2 if slack else n + 1
+        pack = False  # the packing bound, which takes the memo's place at zero slack
         events = 0  # hits and union prunes so far
         for k in range(max(k, -(-target // best[0])), n + 1):
             search(0, k, 0, 0)
             if found:
                 break
+            if not (slack or pack):
+                # far[u]: the vertices whose closed neighborhoods miss N[u]
+                far = [full ^ g.closed_two_ball(v) for v in range(n)]
+                pack = True
         else:  # pragma: no cover
             raise AssertionError("the whole vertex set covers every vertex")
         if reordered:

@@ -8,7 +8,7 @@ the first problem.
 
 from __future__ import annotations
 
-from .graphs import MAX_VERTICES, Graph, VertexCapError, from_edges, members
+from .graphs import MAX_VERTICES, Graph, VertexCapError, from_edges
 
 
 class FormatError(ValueError):

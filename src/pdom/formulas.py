@@ -35,6 +35,25 @@ def half_domination_grid(m: int, n: int) -> int:
     return -(-m * n // 10)
 
 
+def domination_grid(m: int, n: int) -> int:
+    """Domination number (p = 1) of the m-by-n grid P_m x P_n for m <= 4.
+
+    The closed forms of Jacobson and Kinch ("On the domination number of
+    products of graphs: I", Ars Combinatoria 18, 1984): ceil(n/3) for one
+    row, floor((n+2)/2) for two, floor((3n+4)/4) for three, and for four n,
+    or n + 1 when n is 5, 6 or 9.
+    """
+    if not 1 <= m <= min(4, n):
+        raise ValueError(f"grid formula needs 1 <= m <= 4 and m <= n, got ({m}, {n})")
+    if m == 1:
+        return -(-n // 3)
+    if m == 2:
+        return (n + 2) // 2
+    if m == 3:
+        return (3 * n + 4) // 4
+    return n + 1 if n in (5, 6, 9) else n
+
+
 def half_domination_complete_product(m: int, n: int) -> int:
     """Smallest positive k with 2k(m+n) - 2k^2 >= mn.
 

@@ -322,8 +322,9 @@ def test_scan_rejects_disconnected_flag_with_file(tmp_path, capsys):
 
 
 def test_scan_order_out_of_range(capsys):
-    assert main(["scan", "--max-order", "9", "--p", "1/2"]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error:")
+    for order in ["9", "0"]:
+        assert main(["scan", "--max-order", order, "--p", "1/2"]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: --max-order must be in 1..7, got {order}\n"
 
 
 def test_product_graph6(capsys):

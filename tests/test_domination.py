@@ -382,6 +382,22 @@ def test_failure_memo_on_relabelled_grid(seed, p):
     assert set(members(influencing_set(g, p))) == brute_influencing(g, p)
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+def test_packing_bound_on_relabelled_grid(seed):
+    # At p = 1 a node is dropped once its uncovered vertices hold more
+    # vertices with pairwise disjoint closed neighborhoods than it has
+    # picks left; the witness, the family, the union and the sweep's p = 1
+    # step must not change.
+    g = _relabelled(cartesian_product(path(4), path(5)), random.Random(seed))
+    one = Fraction(1)
+    expected = brute_minimum_sets(g, one)
+    assert members(partial_domination_number(g, one).witness) == expected[0]
+    assert [members(s) for s in all_minimum_sets(g, one).sets] == expected
+    union = brute_influencing(g, one)
+    assert set(members(influencing_set(g, one))) == union
+    assert set(members(dict(influencing_sweep(g))[one])) == union
+
+
 def test_failure_memo_keeps_union_pruned_subtrees():
     # {1,4}, {2,4} and {3,4} all cover {1,...,5}, so at p = 9/10 they share
     # a memo key. By {2,4} the union holds every vertex of its minimum sets

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from pdom.domination import influencing_intersection, influencing_set, partial_domination_number
+from pdom.domination import influencing_intersection, influencing_set, is_p_dominating, partial_domination_number
 from pdom.formulas import (
+    domination_grid,
     half_domination_complete_product,
     half_domination_grid,
     half_domination_path,
@@ -21,6 +23,7 @@ from pdom.graphs import (
     cartesian_product,
     complete,
     complete_bipartite,
+    from_edges,
     mask_of,
     path,
     pendant_wheel_graph,
@@ -39,6 +42,31 @@ def test_half_domination_path_matches_solver():
         assert half_domination_path(n) == partial_domination_number(path(n), HALF).size
     with pytest.raises(ValueError):
         half_domination_path(0)
+
+
+@pytest.mark.parametrize("m,n,expected", [(1, 7, 3), (2, 5, 3), (3, 4, 4), (4, 4, 4), (4, 6, 7), (4, 9, 10)])
+def test_domination_grid_values(m, n, expected):
+    assert domination_grid(m, n) == expected
+
+
+def test_domination_grid_matches_solver():
+    # Grids of up to 48 vertices, beyond the reach of the brute-force
+    # oracle; every set must cover all vertices, so each solve runs with
+    # zero slack. One seeded relabelling checks a label order with large
+    # bandwidth as well.
+    rng = random.Random(7)
+    for m in range(1, 5):
+        for n in range(m, 13):
+            g = cartesian_product(path(m), path(n))
+            labels = list(range(g.order))
+            rng.shuffle(labels)
+            for h in (g, from_edges(g.order, [(labels[u], labels[v]) for u, v in g.edges()])):
+                result = partial_domination_number(h, 1)
+                assert result.size == domination_grid(m, n), (m, n)
+                assert is_p_dominating(h, result.witness, 1)
+    for m, n in [(0, 3), (5, 5), (4, 3)]:
+        with pytest.raises(ValueError):
+            domination_grid(m, n)
 
 
 @pytest.mark.parametrize("m,n,expected", [(2, 4, 1), (3, 4, 2), (5, 5, 3), (2, 2, 1)])

@@ -19,23 +19,18 @@ The search has three modes:
   influencing_sweep), so the influencing set is found without listing
   the family.
 
-The candidate order. "all" and "union" mode outputs do not depend on it,
-so they may take breadth-first layers (Cuthill and McKee, "Reducing the
-bandwidth of sparse symmetric matrices", 1969): from the lowest-labelled
-vertex of minimum degree, each layer in label order, restarted in each
-component. Neighbors then sit close together, and a vertex is dead, out
-of reach of every pick still to come, once the search passes its last
-neighbor. The layers are used only when vertices die sooner under them:
-when the sum over positions i of |N[v_i] | ... | N[v_n-1]| (the vertices
-some pick at position i or later still reaches) falls below that sum
-under label order, which is the sum of max(N[v]) + 1 over v. Otherwise,
-and always in "first" mode, the order is label order. "first" mode keeps
-it because its witness is lex-least in the labels: under another order the
-first hit is some other optimum, and rebuilding the lex-least one costs
-more than the order saves on the many small product solves of a scan.
-Under label order a labelling with large bandwidth leaves vertices alive
-until late and the search slows by orders of magnitude; with the layers
-"all" and "union" run about as fast on any labelling of a graph.
+The candidate order depends on the mode alone. "first" mode takes label
+order, because its witness is lex-least in the labels: under another order
+the first hit is some other optimum. "all" and "union" mode outputs do not
+depend on the order, so they take breadth-first layers (Cuthill and McKee,
+"Reducing the bandwidth of sparse symmetric matrices", 1969): from the
+lowest-labelled vertex of minimum degree, each layer in label order,
+restarted in each component. Neighbors then sit close together, and a
+vertex is dead, out of reach of every pick still to come, once the search
+passes its last neighbor. Under label order a labelling with large
+bandwidth leaves vertices alive until late and the search slows by orders
+of magnitude; with the layers "all" and "union" run about as fast on any
+labelling of a graph.
 
 Before picking the vertex at position i the search applies two bounds,
 and both only tighten as i grows, so either one ends the scan of the
@@ -183,18 +178,9 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
     """
     n = g.order
     closed = [row | 1 << v for v, row in enumerate(g.adj)]
-    order: list[int] | range = range(n)
-    reordered = False  # is the candidate order other than label order?
-    if mode != "first":
-        bfs = _breadth_first(g.adj)
-        reach = profile = 0
-        for v in reversed(bfs):
-            reach |= closed[v]
-            profile += reach.bit_count()
-        # Under label order vertex u stays reachable up to position
-        # max(N[u]), so that order's profile is the sum of bit lengths.
-        if profile < sum(c.bit_length() for c in closed):
-            order, reordered = bfs, True
+    first_only = mode == "first"
+    union = mode == "union"
+    order = range(n) if first_only else _breadth_first(g.adj)
     # Tables indexed by position i in the candidate order.
     full = g.full_mask
     cl = [0] * n  # cl[i]: N[order[i]]
@@ -214,8 +200,6 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
         suffix[i] = tail = tail | b
         reach |= c
         dead[i] = full ^ reach
-    first_only = mode == "first"
-    union = mode == "union"
 
     def search(first: int, left: int, covered: int, chosen: int) -> bool:
         nonlocal found, events
@@ -286,11 +270,10 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
                 pack = True
         else:  # pragma: no cover
             raise AssertionError("the whole vertex set covers every vertex")
-        if reordered:
-            # Lex order in the caller's labels: the set holding the least
-            # vertex at which two sets differ comes first. The key lists
-            # the set's bits from vertex 0 up, so that set sorts last.
-            hits.sort(key=lambda h: f"{h:0{n}b}"[::-1], reverse=True)
+        # "all" mode: lex order in the caller's labels. The set holding the
+        # least vertex at which two sets differ comes first; the key lists
+        # the set's bits from vertex 0 up, so that set sorts last.
+        hits.sort(key=lambda h: f"{h:0{n}b}"[::-1], reverse=True)
         yield k, found, hits
 
 

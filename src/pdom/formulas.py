@@ -79,13 +79,6 @@ def half_domination_path_complete(n: int, m: int) -> int:
     return -(-m * n // (2 * (m + 2)))
 
 
-def product_lower_bound(gp_g: int, gp_h: int) -> int:
-    """The conjectured floor for the product's number: the factors' product."""
-    if gp_g < 0 or gp_h < 0:
-        raise ValueError("sizes must be nonnegative")
-    return gp_g * gp_h
-
-
 def _exact_multiple(p: Fraction, n: int, what: str) -> int:
     """p as an integer numerator over n, rejecting anything else."""
     scaled = p * n

@@ -316,6 +316,19 @@ def test_scan_external_file(tmp_path, capsys):
     assert lines[-1] == "pairs=3, failures=0"
 
 
+def test_scan_spider_square_fails_golden(tmp_path, capsys):
+    # FFHC? is the spider S(2,2,2): gamma_3/4 is 3, but its square needs only 8.
+    listing = tmp_path / "spider.g6"
+    listing.write_text("FFHC?\n")
+    assert main(["scan", "--graphs", str(listing), "--p", "3/4"]) == EXIT_SCAN_FAILURE
+    assert capsys.readouterr().out.splitlines() == [
+        "# g6_g g6_h p gp_g gp_h gp_prod holds",
+        "# family=external",
+        "FFHC? FFHC? 3/4 3 3 8 false witness={0,1,10,19,20,25,31,44}",
+        "pairs=1, failures=1",
+    ]
+
+
 def test_scan_rejects_disconnected_flag_with_file(tmp_path, capsys):
     assert main(["scan", "--graphs", str(tmp_path / "absent.g6"), "--include-disconnected", "--p", "1/2"]) == EXIT_PARSE
     assert "include-disconnected" in capsys.readouterr().err

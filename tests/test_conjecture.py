@@ -16,11 +16,11 @@ from pdom.conjecture import (
     enumerate_graphs,
     scan_conjecture,
 )
-from pdom.domination import partial_domination_number
+from pdom.domination import is_p_dominating, partial_domination_number
 from pdom.formats import parse_graph6, write_graph6
-from pdom.graphs import Graph, VertexCapError, cartesian_product, complete, mask_of, path
+from pdom.graphs import Graph, VertexCapError, cartesian_product, complete, mask_of, path, subdivided_star
 
-from brute import brute_canonical, brute_connected
+from brute import brute_canonical, brute_connected, brute_gamma
 from strategies import SEEDED, small_graphs
 
 HALF = Fraction(1, 2)
@@ -135,6 +135,16 @@ def test_product_inequality_examples():
     report = check_product_inequality(c4, c4, Fraction(4, 5))
     assert (report.gp_g, report.gp_h, report.gp_product, report.holds) == (2, 2, 3, False)
     assert report.record().endswith(" witness={0,1,6}")
+
+    # The spider S(2,2,2) squared, the one p = 3/4 failure up to order 7: 8 < 3 * 3.
+    spider = subdivided_star(3)
+    p = Fraction(3, 4)
+    report = check_product_inequality(spider, spider, p)
+    assert report.record() == "FsO__ FsO__ 3/4 3 3 8 false witness={1,2,3,4,5,28,35,42}"
+    assert brute_gamma(spider, p) == 3
+    square = cartesian_product(spider, spider)
+    assert square.closed_neighborhood_of_set(report.witness).bit_count() == 37
+    assert is_p_dominating(square, report.witness, p)
 
 
 @SEEDED

@@ -25,6 +25,7 @@ from pdom.graphs import (
     Graph,
     cartesian_product,
     complete,
+    cycle,
     from_edges,
     mask_of,
     members,
@@ -249,6 +250,21 @@ def test_influencing_sweep_dips_to_one_vertex_on_twin_hub():
     assert sizes[-1] == 9  # at p = 1 everything returns
 
 
+def test_vertex_transitive_graphs_are_fully_influencing():
+    # An automorphism maps a minimum set to one through any vertex, so on
+    # a vertex-transitive graph every vertex is influencing when p > 0.
+    cycles = [cycle(n) for n in range(3, 31)]
+    tori = [cartesian_product(cycle(a), cycle(b)) for a in range(3, 6) for b in range(a, 7)]
+    for g in cycles + tori:
+        assert list(influencing_sweep(g)) == [(Fraction(k, g.order), g.full_mask) for k in range(1, g.order + 1)]
+    # Each vertex of a cycle covers 3, and spaced picks reach any k of the
+    # n vertices, so gamma at p = k/n is ceil(k / 3).
+    for g in cycles:
+        n = g.order
+        for k in range(n + 1):
+            assert partial_domination_number(g, Fraction(k, n)).size == -(-k // 3)
+
+
 def test_influencing_intersection():
     assert influencing_intersection(twin_hub_graph()) == 0
     assert influencing_intersection(path(6)) == mask_of([1, 4])
@@ -414,8 +430,7 @@ def test_failure_memo_keeps_union_pruned_subtrees():
 
 def test_family_in_lex_order_under_breadth_first_order():
     # The path 2-0-1-3. Breadth-first from 2 gives the order 2, 0, 1, 3,
-    # under which vertices die sooner (profile 13 against 14 for label
-    # order), so the family is searched in that order and must be sorted
+    # which "all" mode always searches in, so the family must be sorted
     # back: lex order puts {0,3} before {1,2}, integer order does not, and
     # the search meets {1,2} first.
     g = from_edges(4, [(2, 0), (0, 1), (1, 3)])
@@ -431,9 +446,9 @@ def _image(mask: int, perm: list[int]) -> int:
 
 
 def _assert_relabelling_invariant(g: Graph, perm: list[int]) -> None:
-    # g and its relabelling often take different candidate orders (label
-    # order for one, breadth-first for the other), so this checks that
-    # no output depends on the order.
+    # "first" mode walks label order and the other modes breadth-first
+    # layers, which a relabelling usually reorders, so this checks that no
+    # output depends on the order.
     h = from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
     n = g.order
     for k in range(n + 1):

@@ -17,7 +17,6 @@ from pdom.formulas import (
     influencing_full_threshold,
     influencing_intersection_path,
     influencing_path,
-    product_lower_bound,
 )
 from pdom.graphs import (
     cartesian_product,
@@ -120,14 +119,6 @@ def test_half_domination_path_complete_matches_solver():
         for m in range(2, 5):
             got = partial_domination_number(cartesian_product(path(n), complete(m)), HALF).size
             assert half_domination_path_complete(n, m) == got
-
-
-def test_product_lower_bound():
-    assert product_lower_bound(1, 5) == 5
-    assert product_lower_bound(2, 2) == 4
-    assert product_lower_bound(2, 3) == 6
-    with pytest.raises(ValueError):
-        product_lower_bound(-1, 2)
 
 
 def test_influencing_complete_bipartite_cases():

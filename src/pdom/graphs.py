@@ -39,16 +39,36 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _byte_labels() -> tuple[tuple[str, ...], ...]:
+    """Row k, entry b: the labels of byte k of a mask whose value is b, each
+    followed by a comma ("8,10," for k = 1, b = 5). The entries with top bit
+    h are those below 2**h with the label of bit h appended."""
+    rows = []
+    for k in range(MAX_VERTICES // 8):
+        row = [""]
+        for v in range(8 * k, 8 * k + 8):
+            label = f"{v},"
+            row += [r + label for r in row]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+_BYTE_LABELS = _byte_labels()
+
+
 def format_vertex_set(mask: int) -> str:
     """Render a bitmask as ``{0,3,5}`` (no spaces, increasing order)."""
     if mask < 0:
         raise ValueError(f"negative mask {mask}")
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(str(low.bit_length() - 1))
-        mask ^= low
-    return "{" + ",".join(out) + "}"
+    text = ""
+    for row in _BYTE_LABELS:
+        if not mask:
+            break
+        text += row[mask & 255]
+        mask >>= 8
+    if mask:  # vertices beyond the table, from MAX_VERTICES on
+        text += "".join(f"{v + MAX_VERTICES}," for v in members(mask))
+    return "{" + text[:-1] + "}"
 
 
 @dataclass(frozen=True)

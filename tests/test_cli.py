@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -246,6 +247,21 @@ def test_enumerate_relabelled_grid_golden(tmp_path, capsys):
         "{7,15,16,17,18,19,20}\n"
         "{9,14,15,16,18,20,21}\n"
     )
+
+
+@pytest.mark.parametrize("rows,cols,p,lines,digest", [
+    (5, 6, "3/4", 12648, "39842041fc93ed56af43e57644897566bc868d337e7d3408056b683b1e694428"),
+    (6, 6, "1/2", 2681, "aa8777434f12e6290e59de63facf1cc52769b9ac106dd834edfbf40fecf3623d"),
+])
+def test_enumerate_large_family_digest(tmp_path, capsys, rows, cols, p, lines, digest):
+    # Pins the sort into label lex order and the set formatting together,
+    # on families too long to spell out.
+    file = tmp_path / "grid.txt"
+    _write_relabelled_grid(file, rows, cols, seed=1)
+    assert main(["enumerate", "--file", str(file), "--p", p]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_influence_relabelled_grid_golden(tmp_path, capsys):

@@ -415,17 +415,33 @@ def test_packing_bound_on_relabelled_grid(seed):
 
 
 def test_failure_memo_keeps_union_pruned_subtrees():
-    # {1,4}, {2,4} and {3,4} all cover {1,...,5}, so at p = 9/10 they share
-    # a memo key. By {2,4} the union holds every vertex of its minimum sets
-    # {2,4,7,9} and {2,4,8,9}, so the union prune skips them; recording that
-    # subtree as a failure would drop {3,4}, below which lie the only
-    # minimum sets with vertex 3.
+    # Under label order {1,4}, {2,4} and {3,4} all cover {1,...,5}, so at
+    # p = 9/10 they share a memo key, and recording the union-pruned {2,4}
+    # as a failure would drop {3,4}, below which lie the only minimum sets
+    # with vertex 3. Union mode now walks breadth-first layers, where this
+    # graph reaches neither prune with a nonempty union; the next test
+    # holds that fault.
     g = from_edges(10, [(0, 9), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5), (5, 6), (6, 9)])
     swept = dict(influencing_sweep(g))
     for k in range(1, 11):
         p = Fraction(k, 10)
         assert set(members(influencing_set(g, p))) == brute_influencing(g, p)
         assert set(members(swept[p])) == brute_influencing(g, p)
+
+
+def test_failure_memo_keeps_union_pruned_children():
+    # At 6/7 every minimum set holds one of the isolated vertices 0, 1 and
+    # 2, vertex 12 and one end of each other edge. Union mode walks the
+    # order 0, 1, 2, 3, 7, 4, 12, 8, ...; by {1,7,12} the union
+    # holds every vertex its hits could add, so the union prune drops all
+    # of its children. {2,3,12} has the same memo key (live covered set
+    # {8,12}); recording {1,7,12} as a failure would drop it, and with it
+    # the first minimum sets that hold vertex 2.
+    g = from_edges(14, [(3, 7), (4, 12), (5, 9), (6, 10), (8, 12), (11, 13)])
+    p = Fraction(6, 7)
+    expected = brute_influencing(g, p)
+    assert set(members(influencing_set(g, p))) == expected
+    assert set(members(dict(influencing_sweep(g))[p])) == expected
 
 
 def test_family_in_lex_order_under_breadth_first_order():

@@ -43,6 +43,8 @@ def test_mask_helpers_round_trip():
         members(-1)  # the lowest-bit loop never ends on a negative int
     with pytest.raises(ValueError):
         format_vertex_set(-1)
+    with pytest.raises(ValueError):
+        format_vertex_set(-1 << 70)
 
 
 @SEEDED
@@ -50,6 +52,10 @@ def test_mask_helpers_round_trip():
 @example(0)
 @example(1 << 63)
 @example((1 << MAX_VERTICES) - 1)
+@example(0xFF)
+@example(0x100)
+@example(1 << 64 | 1)
+@example(1 << 200)
 def test_format_vertex_set_matches_members(mask):
     assert format_vertex_set(mask) == "{" + ",".join(map(str, members(mask))) + "}"
 

@@ -51,14 +51,14 @@ found minimum.
 The third prune is a failure memo. No pick at or after the cursor i can
 cover a vertex of dead[i], so whether a node's subtree holds a hit depends
 only on i, the picks left, the live covered set covered & ~dead[i], and
-how many dead vertices are covered, where more only helps. A subtree that
-made no hit and dropped no child by the union prune is recorded under
-(i, picks left, live covered set) with its dead count, and a later child
-with the same key and at most that dead count is dropped. The memo lives
-for one target's search over all sizes, since a failed state fails
-whatever the size; it is used only when the slack n - target is positive
-(at zero slack it saves too little to pay for itself) and only for
-children with two or more picks left (the last pick is a single scan).
+how many dead vertices are covered, where more only helps. When a child's
+call returns with no hit and no union prune below it, its parent records
+the child's key (i, picks left, live covered set) with its dead count, and
+a later child with the same key and at most that dead count is dropped.
+The memo lives for one target's search over all sizes, since a failed
+state fails whatever the size; it is used only when the slack n - target
+is positive (at zero slack it saves too little to pay for itself) and only
+for children with two or more picks left (the last pick is a single scan).
 
 The fourth prune, a packing bound, takes the memo's place at zero slack
 (p = 1), where every vertex must end up covered. A child's uncovered
@@ -72,23 +72,30 @@ behind "rho(G) = gamma(G) implies Vizing's inequality" (Bresar et al.,
 "Vizing's conjecture: a survey and recent results", 2012). It drops only
 subtrees without a hit, so no mode's output changes. The bound turns on
 once a size at zero slack has failed, and the sets of vertices beyond
-distance 2, far[u], are built then, once per kernel call. A first size
-that holds a hit, the usual case in a sweep, which starts there from the
-previous target's size, builds nothing: on small graphs the table costs
-more than the bound saves. With slack the same bound holds with
-left + slack in place of left (a packed vertex no pick covers uses up a
-unit of slack), but it saves no nodes on grids at p = 3/4 and makes them
-about three times slower.
+distance 2, far[u], are built then, once per kernel call. At the root,
+where nothing is covered yet, the bound is one count: the greedy packing
+of all the vertices, taken when far is built, is a floor below which no
+size is searched. A first size that holds a hit, the usual case in a
+sweep, which starts there from the previous target's size, builds
+nothing: on small graphs the table costs more than the bound saves. With
+slack the same bound holds with left + slack in place of left (a packed
+vertex no pick covers uses up a unit of slack), but it saves no nodes on
+grids at p = 3/4 and makes them about three times slower.
 
 Every test that can drop a child runs in its parent's candidate loop,
-before the call, since a Python call costs more than any of the tests:
-the two bounds at the child's first candidate, where they would end its
-scan at once, then the union prune, the packing bound and the memo. A child with one
-pick left is not called either; the parent scans that last pick itself.
-The size loop runs the same tests on each root, where only the packing
-bound can fire. On P7xP9 at 3/4 the search enters 9,084 nodes, where a
-search that tests each node on entry enters 84,386, most of them memo
-hits or nodes that stop at their first candidate.
+before the call, since a Python call costs more than any of the tests: the
+two bounds at the child's first candidate, where they would end its scan
+at once, then the union prune, the packing bound and the memo. A child
+with one pick left is not called either; the parent scans that last pick
+itself. Roots take none of these tests: the size starts at the counting
+bound, nothing is dead at position 0, the union is empty, no memo key has
+cursor 0, and the packing bound is the size floor. Size 1 is reached only
+when the counting bound is 1, so some vertex covers the target alone; the
+size loop reads those vertices from the table of closed neighborhoods and
+enters no node (in "first" mode the lowest label, since that mode walks
+label order). On P7xP9 at 3/4 the search enters 9,084 nodes, where a
+search that tests each node on entry enters 84,386, most of them memo hits
+or nodes that stop at their first candidate.
 
 Proportions are exact rationals, int or Fraction (a float is rejected:
 0.1 is not 1/10); coverage targets use integer ceiling arithmetic.
@@ -196,11 +203,12 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
     "first" mode found is the lex-least such set; in "union" and "all"
     modes it is the union of all of them, and in "all" mode hits lists
     them in lex order (otherwise hits is empty). Target 0 yields the empty
-    set: (0, 0, [0]).
+    set: (0, 0, [0]). Size 1 is read from the closed-neighborhood table;
+    each larger size at or above the packing floor runs search from the
+    root, which records the memo entries of the children it calls.
     """
     n = g.order
     width = (n + 7) // 8  # bytes in a set's sort key
-    closed = [row | 1 << v for v, row in enumerate(g.adj)]
     first_only = mode == "first"
     union = mode == "union"
     order = range(n) if first_only else _breadth_first(g.adj)
@@ -214,8 +222,8 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
     reach = top = tail = 0
     for i in range(n - 1, -1, -1):
         v = order[i]
-        cl[i] = c = closed[v]
         bit[i] = b = 1 << v
+        cl[i] = c = g.adj[v] | b
         size = c.bit_count()
         if size > top:
             top = size
@@ -224,11 +232,10 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
         reach |= c
         dead[i] = full ^ reach
 
-    def search(first: int, left: int, covered: int, chosen: int, key: int, held: int) -> bool:
-        # Scan the candidates of a node that has passed its tests (see the
-        # module docstring); key and held are its memo entry, or key 0.
+    def search(first: int, left: int, covered: int, chosen: int) -> bool:
+        # Scan the candidates of a node with two or more picks left that has
+        # passed its tests (see the module docstring).
         nonlocal found, events
-        before = events
         count = covered.bit_count()
         uncovered = ~covered
         m = left - 1  # picks left to each child
@@ -236,16 +243,6 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
             if count + left * best[i] < target or (dead[i] & uncovered).bit_count() > slack:
                 break  # both bounds only tighten as i grows
             child = covered | cl[i]
-            if not m:  # a root of size 1
-                if child.bit_count() >= target:
-                    hit = chosen | bit[i]
-                    found |= hit
-                    events += 1
-                    if first_only:
-                        return True
-                    if not union:
-                        hits.append(hit)
-                continue
             pick = chosen | bit[i]
             j = i + 1
             child_count = child.bit_count()
@@ -269,8 +266,7 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
             if union and not (pick | suffix[j]) & ~found:
                 events += 1  # the hits skipped here may exist, so no failure is recorded above
                 continue  # every hit below it lies inside found already
-            child_key = child_held = 0
-            if pack:
+            if far:
                 # Greedy 2-packing of the uncovered vertices: no vertex covers
                 # two of them, so each needs a pick of its own.
                 t = full & child_uncovered
@@ -280,16 +276,17 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
                     t &= far[(t & -t).bit_length() - 1]
                 if t:
                     continue  # more than m of them are packed
-            elif m >= memo_from:
+            elif slack:
                 live = child & ~dead[j]
-                child_key = live << 14 | m << 7 | j
-                child_held = child_count - live.bit_count()
-                if memo.get(child_key, -1) >= child_held:
+                key = live << 14 | m << 7 | j
+                held = child_count - live.bit_count()
+                if memo.get(key, -1) >= held:
                     continue  # the same state with as many dead vertices covered failed
-            if search(j, m, child, pick, child_key, child_held):
+            before = events
+            if search(j, m, child, pick):
                 return True
-        if key and events == before:
-            memo[key] = held
+            if slack and events == before:
+                memo[key] = held  # no hit and no union prune below it
         return False
 
     k = 0
@@ -302,31 +299,31 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
         found = 0
         # Failure memo (see the module docstring): (first, left, live covered
         # set) packed into one int -> the most dead vertices covered by a node
-        # with that key whose subtree held no hit. Only children with left >=
-        # memo_from are looked up and recorded, so none are at zero slack.
+        # with that key whose subtree held no hit. Used only with slack.
         memo: dict[int, int] = {}
-        memo_from = 2 if slack else n + 1
-        pack = False  # the packing bound, which takes the memo's place at zero slack
+        far: list[int] = []  # the packing bound's table; empty while the bound is off
+        floor = 0  # once far is built, the greedy 2-packing of all vertices: no smaller size covers them
         events = 0  # hits and union prunes so far
         for k in range(max(k, -(-target // best[0])), n + 1):
-            # The root's tests. Only the packing bound can drop it: k starts
-            # at the counting bound, dead[0] is empty, found is still empty
-            # and no memo key has cursor 0.
-            if pack:
-                t = full
-                q = k
-                while t and q:
-                    q -= 1
-                    t &= far[(t & -t).bit_length() - 1]
-                if t:
-                    continue  # more than k vertices are packed
-            search(0, k, 0, 0, 0, 0)
+            if k == 1:  # the counting bound is 1: some vertex covers the target alone
+                for c, b in zip(cl, bit):
+                    if c.bit_count() >= target:
+                        found |= b
+                        if first_only:
+                            break
+                        if not union:
+                            hits.append(b)
+            elif k >= floor:
+                search(0, k, 0, 0)
             if found:
                 break
-            if not (slack or pack):
+            if not (slack or far):
                 # far[u]: the vertices whose closed neighborhoods miss N[u]
                 far = [full ^ g.closed_two_ball(v) for v in range(n)]
-                pack = True
+                t = full
+                while t:
+                    floor += 1
+                    t &= far[(t & -t).bit_length() - 1]
         else:  # pragma: no cover
             raise AssertionError("the whole vertex set covers every vertex")
         # "all" mode: lex order in the caller's labels. The set holding the

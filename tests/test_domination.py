@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -389,8 +390,8 @@ def test_union_prune_on_relabelled_grid(seed, p):
 def test_failure_memo_on_relabelled_grid(seed, p):
     # With slack the search drops a node whose cursor, picks left and live
     # covered set match a subtree that held no hit; the witness, the family
-    # and the union must not change. Under labelling 89 at 3/4 a memo key
-    # that leaves out the cursor drops a subtree that holds a minimum set.
+    # and the union must not change. A memo key that leaves out the cursor
+    # passes these cases; test_failure_memo_key_holds_the_cursor catches it.
     g = _relabelled(cartesian_product(path(4), path(5)), random.Random(seed))
     expected = brute_minimum_sets(g, p)
     assert members(partial_domination_number(g, p).witness) == expected[0]
@@ -442,6 +443,49 @@ def test_failure_memo_keeps_union_pruned_children():
     expected = brute_influencing(g, p)
     assert set(members(influencing_set(g, p))) == expected
     assert set(members(dict(influencing_sweep(g))[p])) == expected
+
+
+def test_failure_memo_key_holds_the_cursor():
+    # At 6/7 "all" mode meets memo states whose picks left and live covered
+    # set agree but whose cursors differ; a key without the cursor drops
+    # subtrees holding 6 of the 122 minimum sets.
+    g = from_edges(14, [(0, 12), (1, 2), (1, 9), (1, 11), (3, 4), (3, 5), (5, 8), (5, 13), (7, 9), (8, 9),
+                        (8, 11), (8, 13), (9, 11)])
+    p = Fraction(6, 7)
+    expected = brute_minimum_sets(g, p)
+    assert members(partial_domination_number(g, p).witness) == expected[0]
+    assert [members(s) for s in all_minimum_sets(g, p).sets] == expected
+    assert set(members(influencing_set(g, p))) == brute_influencing(g, p)
+
+
+def _nodes_entered(call) -> int:
+    # Calls of the kernel's nested search, counted with a profile hook:
+    # the size of the search tree, which does not depend on the machine.
+    code = next(c for c in _minimum_covers.__code__.co_consts if getattr(c, "co_name", None) == "search")
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("call,nodes", [
+    (lambda: partial_domination_number(cartesian_product(path(6), path(6)), 1), 369),
+    (lambda: partial_domination_number(cartesian_product(path(7), path(9)), Fraction(3, 4)), 9084),
+    (lambda: all_minimum_sets(_relabelled(cartesian_product(path(5), path(6)), random.Random(1)), Fraction(3, 4)), 3830),
+], ids=["P6xP6-1", "P7xP9-3/4", "P5xP6-all-3/4-relabelled"])
+def test_search_tree_size(call, nodes):
+    # Nodes entered on three calls of the kind the benchmark times: a change
+    # to a prune or to the candidate order shows here before it shows as time.
+    assert _nodes_entered(call) == nodes
 
 
 def test_family_in_lex_order_under_breadth_first_order():

@@ -82,20 +82,37 @@ slack the same bound holds with left + slack in place of left (a packed
 vertex no pick covers uses up a unit of slack), but it saves no nodes on
 grids at p = 3/4 and makes them about three times slower.
 
+The fifth prune, a per-pick coverage bound, runs in union mode only. A pick
+covers fewer new vertices the more is already covered, so a child with m
+picks left that still needs r more covered vertices holds a hit only if
+some vertex at a position from its cursor on covers at least ceil(r / m) of
+its uncovered vertices; the parent looks for one, stopping at the first,
+and drops the child if there is none. The coverage bound above counts whole
+closed neighborhoods instead, whatever they already hold: on the subdivided
+star S(10), once the search has passed the center and the center is
+covered, a pick adds at most 2 new vertices where that bound allows 3, and
+the per-pick bound cuts the nodes that influencing_sweep enters from 11,903
+to 896. A dropped child holds no hit, so the bound records no event and its
+parent's memo record stays sound. In "first" and "all" modes on grids it
+saves 4-7% of the nodes, and a prototype that took it there ran 7-22%
+slower, so they do not.
+
 Every test that can drop a child runs in its parent's candidate loop,
 before the call, since a Python call costs more than any of the tests: the
-two bounds at the child's first candidate, where they would end its scan
-at once, then the union prune, the packing bound and the memo. A child
-with one pick left is not called either; the parent scans that last pick
-itself. Roots take none of these tests: the size starts at the counting
-bound, nothing is dead at position 0, the union is empty, no memo key has
-cursor 0, and the packing bound is the size floor. Size 1 is reached only
-when the counting bound is 1, so some vertex covers the target alone; the
-size loop reads those vertices from the table of closed neighborhoods and
-enters no node (in "first" mode the lowest label, since that mode walks
-label order). On P7xP9 at 3/4 the search enters 9,084 nodes, where a
-search that tests each node on entry enters 84,386, most of them memo hits
-or nodes that stop at their first candidate.
+two bounds at the child's first candidate, where they would end its scan at
+once, then, in union mode, the union prune and the per-pick coverage bound,
+and last the packing bound and the memo. A child with one pick left is not
+called either; the parent scans that last pick itself. Roots take none of
+these tests: the size starts at the counting bound, nothing is dead at
+position 0, the union is empty, no memo key has cursor 0, the packing bound
+is the size floor, and the per-pick bound would be met by the vertex of
+largest closed neighborhood. Size 1 is reached only when the counting bound
+is 1, so some vertex covers the target alone; the size loop reads those
+vertices from the table of closed neighborhoods and enters no node (in
+"first" mode the lowest label, since that mode walks label order). On P7xP9
+at 3/4 the search enters 9,084 nodes, where a search that tests each node
+on entry enters 84,386, most of them memo hits or nodes that stop at their
+first candidate.
 
 Proportions are exact rationals, int or Fraction (a float is rejected:
 0.1 is not 1/10); coverage targets use integer ceiling arithmetic.
@@ -263,9 +280,18 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
             # The child's tests, before any call.
             if child_count + m * best[j] < target or (dead[j] & child_uncovered).bit_count() > slack:
                 continue  # it would stop at its first candidate
-            if union and not (pick | suffix[j]) & ~found:
-                events += 1  # the hits skipped here may exist, so no failure is recorded above
-                continue  # every hit below it lies inside found already
+            if union:
+                if not (pick | suffix[j]) & ~found:
+                    events += 1  # the hits skipped here may exist, so no failure is recorded above
+                    continue  # every hit below it lies inside found already
+                # Per-pick coverage: some candidate must add a 1/m share of
+                # what is still needed, since later picks add no more.
+                need = -(-(target - child_count) // m)
+                for x in range(j, n):
+                    if (cl[x] & child_uncovered).bit_count() >= need:
+                        break
+                else:
+                    continue  # no m picks reach the target
             if far:
                 # Greedy 2-packing of the uncovered vertices: no vertex covers
                 # two of them, so each needs a pick of its own.
@@ -371,6 +397,6 @@ def influencing_intersection(g: Graph) -> int:
     if g.order < 1:
         raise ValueError("influencing intersection needs at least one vertex")
     out = g.full_mask
-    for _, found in influencing_sweep(g):
+    for _, found, _ in _minimum_covers(g, "union", range(1, g.order + 1)):
         out &= found
     return out

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from hypothesis import settings
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from pdom.graphs import Graph, from_edges
@@ -32,3 +32,34 @@ def sparse_graphs(draw, min_order: int = 10, max_order: int = 14) -> Graph:
     n = draw(st.integers(min_order, max_order))
     pairs = list(combinations(range(n), 2))
     return from_edges(n, draw(st.lists(st.sampled_from(pairs), max_size=n, unique=True)))
+
+
+def _labelled(draw, n: int, edges: list[tuple[int, int]]) -> Graph:
+    labels = draw(st.permutations(range(n)))
+    return from_edges(n, [(labels[u], labels[v]) for u, v in edges])
+
+
+@st.composite
+def trees(draw, min_order: int = 10, max_order: int = 16) -> Graph:
+    """A random recursive tree, each vertex joined to an earlier one, under
+    a random labelling."""
+    n = draw(st.integers(min_order, max_order))
+    return _labelled(draw, n, [(v, draw(st.integers(0, v - 1))) for v in range(1, n)])
+
+
+@st.composite
+def spiders(draw, min_order: int = 10, max_order: int = 16) -> Graph:
+    """Three or more paths of unequal lengths joined at one end to a center,
+    under a random labelling: one pick covers little on a long leg and much
+    at the center."""
+    n = draw(st.integers(min_order, max_order))
+    legs: list[int] = []
+    while sum(legs) < n - 1:
+        legs.append(draw(st.integers(1, min(5, n - 1 - sum(legs)))))
+    assume(len(legs) >= 3 and len(set(legs)) > 1)
+    edges = []
+    v = 1
+    for length in legs:
+        edges += [(0, v)] + [(u, u + 1) for u in range(v, v + length - 1)]
+        v += length
+    return _labelled(draw, n, edges)

@@ -4,6 +4,7 @@ import hashlib
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -85,6 +86,15 @@ def test_order_7_enumeration_is_pinned(graphs_upto_7):
     listing = "\n".join(write_graph6(g) for g in graphs_upto_7)
     assert len(graphs_upto_7) == 1252
     assert hashlib.sha256(listing.encode()).hexdigest() == ORDER_7_SHA256
+
+
+def test_bench_order7_file_is_the_order_7_enumeration():
+    # The sweep benchmark reads its order-7 graphs from this file instead of
+    # enumerating them; it must list the same graphs in the same order.
+    lines = (Path(__file__).resolve().parents[1] / "bench" / "order7.g6").read_text().splitlines()
+    expected = [write_graph6(g) for g in enumerate_graphs(7) if g.order == 7]
+    assert len(expected) == 853
+    assert lines == expected
 
 
 def _degree_key(g: nx.Graph) -> tuple:

@@ -133,9 +133,9 @@ def _cmd_influence(args: argparse.Namespace) -> int:
         if g.order < 1:
             raise ValueError("--all-p needs at least one vertex")
         intersection = g.full_mask
-        for p, found in influencing_sweep(g):
+        for k, (_, found) in enumerate(influencing_sweep(g), start=1):
             intersection &= found
-            print(f"p={p * g.order}/{g.order} influencing = {format_vertex_set(found)}")  # k/n, unreduced
+            print(f"p={k}/{g.order} influencing = {format_vertex_set(found)}")
         print(f"intersection = {format_vertex_set(intersection)}")
     else:
         p = parse_proportion(args.p)

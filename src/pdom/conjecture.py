@@ -35,21 +35,6 @@ MAX_ENUM_ORDER = 7
 REPORT_HEADER = "# g6_g g6_h p gp_g gp_h gp_prod holds"
 
 
-def _mask_connected(n: int, adj: tuple[int, ...]) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        t = frontier
-        while t:
-            low = t & -t
-            grow |= adj[low.bit_length() - 1]
-            t ^= low
-        frontier = grow & ~seen
-        seen |= grow
-    return seen == (1 << n) - 1
-
-
 def _beaten(adj: tuple[int, ...]) -> bool:
     """Does some relabelling of adj give a smaller edge mask?
 
@@ -104,8 +89,14 @@ def enumerate_graphs(max_order: int, *, connected: bool = True) -> Iterator[Grap
                         children.append(child)
             level = children
         for adj in level:
-            if not connected or _mask_connected(n, adj):
-                yield Graph(adj)
+            g = Graph(adj)
+            if connected:
+                reach, grown = 0, 1
+                while grown != reach:  # N[N[...N[{0}]]] stops growing at vertex 0's component
+                    reach, grown = grown, g.closed_neighborhood_of_set(grown)
+                if reach != g.full_mask:
+                    continue
+            yield g
 
 
 @dataclass(frozen=True)

@@ -72,15 +72,14 @@ behind "rho(G) = gamma(G) implies Vizing's inequality" (Bresar et al.,
 "Vizing's conjecture: a survey and recent results", 2012). It drops only
 subtrees without a hit, so no mode's output changes. The bound turns on
 once a size at zero slack has failed, and the sets of vertices beyond
-distance 2, far[u], are built then, once per kernel call. At the root,
-where nothing is covered yet, the bound is one count: the greedy packing
-of all the vertices, taken when far is built, is a floor below which no
-size is searched. A first size that holds a hit, the usual case in a
-sweep, which starts there from the previous target's size, builds
-nothing: on small graphs the table costs more than the bound saves. With
-slack the same bound holds with left + slack in place of left (a packed
-vertex no pick covers uses up a unit of slack), but it saves no nodes on
-grids at p = 3/4 and makes them about three times slower.
+distance 2, far[u], are built then, once per kernel call. A root takes no
+packing test of its own; each of its children does. A first size that
+holds a hit, the usual case in a sweep, which starts there from the
+previous target's size, builds nothing: on small graphs the table costs
+more than the bound saves. With slack the same bound holds with
+left + slack in place of left (a packed vertex no pick covers uses up a
+unit of slack), but it saves no nodes on grids at p = 3/4 and makes them
+about three times slower.
 
 The fifth prune, a per-pick coverage bound, runs in union mode only. A pick
 covers fewer new vertices the more is already covered, so a child with m
@@ -104,15 +103,13 @@ once, then, in union mode, the union prune and the per-pick coverage bound,
 and last the packing bound and the memo. A child with one pick left is not
 called either; the parent scans that last pick itself. Roots take none of
 these tests: the size starts at the counting bound, nothing is dead at
-position 0, the union is empty, no memo key has cursor 0, the packing bound
-is the size floor, and the per-pick bound would be met by the vertex of
-largest closed neighborhood. Size 1 is reached only when the counting bound
-is 1, so some vertex covers the target alone; the size loop reads those
-vertices from the table of closed neighborhoods and enters no node (in
-"first" mode the lowest label, since that mode walks label order). On P7xP9
-at 3/4 the search enters 9,084 nodes, where a search that tests each node
-on entry enters 84,386, most of them memo hits or nodes that stop at their
-first candidate.
+position 0, the union is empty, no memo key has cursor 0, each of their
+children takes the packing test, and the per-pick bound would be met by
+the vertex of largest closed neighborhood. Size 1 is reached only when the
+counting bound is 1, so some vertex covers the target alone; the size loop
+reads those vertices from the table of closed neighborhoods and enters no
+node (in "first" mode the lowest label, since that mode walks label
+order).
 
 Proportions are exact rationals, int or Fraction (a float is rejected:
 0.1 is not 1/10); coverage targets use integer ceiling arithmetic.
@@ -163,8 +160,6 @@ def coverage_target(n: int, p: Fraction | int) -> int:
 
 def is_p_dominating(g: Graph, s: int, p: Fraction | int) -> bool:
     """Does the vertex set s cover at least ceil(p*n) vertices?"""
-    if s & ~g.full_mask:
-        raise ValueError("set mask mentions vertices outside the graph")
     target = coverage_target(g.order, p)
     return g.closed_neighborhood_of_set(s).bit_count() >= target
 
@@ -221,8 +216,8 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
     modes it is the union of all of them, and in "all" mode hits lists
     them in lex order (otherwise hits is empty). Target 0 yields the empty
     set: (0, 0, [0]). Size 1 is read from the closed-neighborhood table;
-    each larger size at or above the packing floor runs search from the
-    root, which records the memo entries of the children it calls.
+    each larger size runs search from the root, which records the memo
+    entries of the children it calls.
     """
     n = g.order
     width = (n + 7) // 8  # bytes in a set's sort key
@@ -328,7 +323,6 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
         # with that key whose subtree held no hit. Used only with slack.
         memo: dict[int, int] = {}
         far: list[int] = []  # the packing bound's table; empty while the bound is off
-        floor = 0  # once far is built, the greedy 2-packing of all vertices: no smaller size covers them
         events = 0  # hits and union prunes so far
         for k in range(max(k, -(-target // best[0])), n + 1):
             if k == 1:  # the counting bound is 1: some vertex covers the target alone
@@ -339,17 +333,13 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
                             break
                         if not union:
                             hits.append(b)
-            elif k >= floor:
+            else:
                 search(0, k, 0, 0)
             if found:
                 break
             if not (slack or far):
                 # far[u]: the vertices whose closed neighborhoods miss N[u]
                 far = [full ^ g.closed_two_ball(v) for v in range(n)]
-                t = full
-                while t:
-                    floor += 1
-                    t &= far[(t & -t).bit_length() - 1]
         else:  # pragma: no cover
             raise AssertionError("the whole vertex set covers every vertex")
         # "all" mode: lex order in the caller's labels. The set holding the

@@ -112,13 +112,11 @@ def parse_edge_list(text: str) -> Graph:
     is one more than the largest index seen."""
     declared: int | None = None
     edges: list[tuple[int, int]] = []
-    seen_rows = False
-    max_index = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue
-        if not seen_rows and declared is None and tokens[0] == "n":
+        if not edges and declared is None and tokens[0] == "n":
             if len(tokens) != 2:
                 raise FormatError("order header must be exactly 'n <count>'", line=lineno)
             try:
@@ -140,13 +138,11 @@ def parse_edge_list(text: str) -> Graph:
             raise FormatError(f"self-loop at vertex {u}", line=lineno)
         if declared is not None and (u >= declared or v >= declared):
             raise FormatError(f"edge ({u}, {v}) out of range for declared order {declared}", line=lineno)
-        seen_rows = True
-        max_index = max(max_index, u, v)
         edges.append((u, v))
     if declared is None:
-        if not seen_rows:
+        if not edges:
             raise FormatError("empty edge list and no 'n <order>' header")
-        declared = max_index + 1
+        declared = max(map(max, edges)) + 1
     return from_edges(declared, edges)
 
 

@@ -268,12 +268,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     n, m = g.order, h.order
     if n * m > MAX_VERTICES:
         raise VertexCapError(f"product order {n * m} exceeds the cap of {MAX_VERTICES}")
-    adj = []
-    for i in range(n):
-        shifted_g = [1 << (k * m) for k in members(g.adj[i])]
-        for j in range(m):
-            row = h.adj[j] << (i * m)  # same g-coordinate, adjacent h-coordinates
-            for base in shifted_g:     # adjacent g-coordinates, same h-coordinate
-                row |= base << j
-            adj.append(row)
-    return Graph(tuple(adj))
+    # spread[i]: vertex (k, 0) for each neighbour k of i in G. Row (i, j) is
+    # (i, j') for the neighbours j' of j in H and (k, j) for those k of i in G.
+    spread = [sum(1 << k * m for k in members(row)) for row in g.adj]
+    return Graph(tuple(h.adj[j] << i * m | spread[i] << j for i in range(n) for j in range(m)))

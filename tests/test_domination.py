@@ -32,6 +32,7 @@ from pdom.graphs import (
     members,
     path,
     pendant_wheel_graph,
+    star,
     subdivided_star,
     twin_broom_tree,
     twin_hub_graph,
@@ -99,7 +100,7 @@ def test_is_p_dominating():
     assert not is_p_dominating(g, center, Fraction(1))
     assert not is_p_dominating(path(4), 0, Fraction(1, 4))
     assert is_p_dominating(path(4), 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the graph"):
         is_p_dominating(path(2), mask_of([5]), HALF)
 
 
@@ -515,6 +516,16 @@ def test_search_tree_size(call, nodes):
     # Nodes entered on four calls of the kind the benchmark times: a change
     # to a prune or to the candidate order shows here before it shows as time.
     assert _nodes_entered(call) == nodes
+
+
+def test_search_tree_size_below_the_packing_number():
+    # star(40) plus 23 isolated vertices at p = 1: the counting bound is 2,
+    # but the isolated vertices and the star's center pack, so gamma is
+    # 1 + 23. Sizes 3 to 23 each enter their root alone, whose children all
+    # fail the packing test; a change that lets those roots grow shows here.
+    g = Graph(star(40).adj + (0,) * 23)
+    assert partial_domination_number(g, 1).size == 24
+    assert _nodes_entered(lambda: partial_domination_number(g, 1)) == 45
 
 
 def test_family_in_lex_order_under_breadth_first_order():

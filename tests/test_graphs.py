@@ -3,10 +3,12 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import networkx as nx
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pdom.conjecture import enumerate_graphs
 from pdom.graphs import (
     MAX_VERTICES,
     Graph,
@@ -238,6 +240,23 @@ def test_product_linearization_is_row_major():
     g = cartesian_product(path(2), path(3))
     expected = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
     assert g.adj == expected.adj
+
+
+def test_product_matches_networkx():
+    # networkx's product, relabelled row-major ((i, j) -> i*|H| + j), on every
+    # ordered pair of graphs of order <= 4, disconnected ones included.
+    graphs = list(enumerate_graphs(4, connected=False))
+    assert len(graphs) == 18
+    pairs = []
+    for g in graphs:
+        x = nx.empty_graph(g.order)
+        x.add_edges_from(g.edges())
+        pairs.append((g, x))
+    for g, a in pairs:
+        for h, b in pairs:
+            m = h.order
+            oracle = nx.relabel_nodes(nx.cartesian_product(a, b), lambda v: v[0] * m + v[1])
+            assert cartesian_product(g, h).adj == tuple(mask_of(oracle.neighbors(v)) for v in range(g.order * m))
 
 
 def test_prism_is_cubic():

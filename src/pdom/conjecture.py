@@ -16,8 +16,13 @@ h << (n-1) | s, where h is a canonical mask of order n - 1 and s gives the
 neighbours of the new vertex 0, and it is kept exactly when no relabelling
 gives a smaller mask. Looping over h and s in ascending order yields each
 class once, in ascending mask order, with no table of seen graphs. The
-minimality test backtracks over relabellings and can visit all n! of them
-on a highly symmetric graph; MAX_ENUM_ORDER caps the order at 7.
+minimality test backtracks over relabellings, pruned by automorphisms
+(McKay 1998). Swapping two twins (vertices with the same neighbours apart
+from each other) fixes the rest of the graph, so each position tries one
+vertex per twin class. An automorphism sigma of h with sigma(s) < s gives
+the child the smaller mask h << (n-1) | sigma(s), so only the s that are
+least in their orbit, under the automorphisms the parent's own test met
+and its twin swaps, are tested. MAX_ENUM_ORDER caps the order at 7.
 """
 
 from __future__ import annotations
@@ -35,30 +40,53 @@ MAX_ENUM_ORDER = 7
 REPORT_HEADER = "# g6_g g6_h p gp_g gp_h gp_prod holds"
 
 
-def _beaten(adj: tuple[int, ...]) -> bool:
-    """Does some relabelling of adj give a smaller edge mask?
+def _beaten(adj: tuple[int, ...], found: list[bytes]) -> bool:
+    """Does some relabelling of adj give a smaller edge mask? Any automorphism
+    of adj the search meets is added to found: each swap of two twins, and
+    each relabelling that gives adj's own mask. On every canonical graph of
+    order <= 5 they split the vertex sets into the same orbits as the whole
+    group does; a smaller group would only leave more children to test.
 
     Positions are filled from n-1 down to 0. img[w] holds the positions
     already taken by w's neighbours, so putting w at position j fixes the
     row block img[w] >> (j+1) of the pairs (j, b), b > j, which outranks
     every block placed after it. A block above adj's own block at j ends
     that branch, one below it answers yes, and an equal one goes a level
-    deeper.
+    deeper, or at position 0 closes an automorphism. Vertices a and b are
+    twins when N(a) minus b equals N(b) minus a. Two free twins have the
+    same img, and swapping them fixes every placed vertex, so their
+    subtrees give the same blocks and a position tries only the first.
     """
     n = len(adj)
     rows = [adj[j] >> (j + 1) for j in range(n)]
+    twins = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if adj[a] & ~(1 << b) == adj[b] & ~(1 << a):
+                twins[a] |= 1 << b
+                twins[b] |= 1 << a
+                found.append(bytes(b if v == a else a if v == b else v for v in range(n)))
+    at = [0] * n  # at[j] is the vertex placed at position j
 
     def place(j: int, free: int, img: list[int]) -> bool:
         row = rows[j]
         t = free
+        tried = 0
         while t:
             low = t & -t
             t ^= low
             w = low.bit_length() - 1
+            if twins[w] & tried:
+                continue
+            tried |= low
             block = img[w] >> (j + 1)
             if block < row:
                 return True
-            if block == row and j:
+            if block == row:
+                at[j] = w
+                if not j:
+                    found.append(bytes(at))
+                    continue
                 nxt = img[:]
                 u = adj[w] & free
                 while u:
@@ -72,23 +100,51 @@ def _beaten(adj: tuple[int, ...]) -> bool:
     return place(n - 1, (1 << n) - 1, [0] * n)
 
 
+def _orbit_minima(order: int, gens: list[bytes]) -> Iterator[int]:
+    """Ascending, each vertex set of a graph of this order that is the least
+    of its orbit under the group gens generate."""
+    size = 1 << order
+    images = []  # images[i][s] is the set s mapped by gens[i]
+    for perm in gens:
+        image = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(image)
+    seen = bytearray(size)
+    for s in range(size):
+        if seen[s]:
+            continue
+        yield s
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+
+
 def enumerate_graphs(max_order: int, *, connected: bool = True) -> Iterator[Graph]:
     """All graphs up to isomorphism with 1..max_order vertices, smallest
     orders and smallest canonical edge masks first."""
     if not 1 <= max_order <= MAX_ENUM_ORDER:
         raise ValueError(f"max_order must be in 1..{MAX_ENUM_ORDER}, got {max_order}")
-    level = [(0,)]  # the canonical graphs of order n, by ascending edge mask
+    level = [((0,), [])]  # the canonical graphs of order n, by ascending edge mask, with their automorphisms
     for n in range(1, max_order + 1):
         if n > 1:
             children = []
-            for parent in level:
-                for s in range(1 << (n - 1)):
+            for parent, gens in level:
+                for s in _orbit_minima(n - 1, gens):
                     # the new vertex 0 joins parent vertex v, now v + 1, when bit v of s is set
                     child = (s << 1,) + tuple(row << 1 | s >> v & 1 for v, row in enumerate(parent))
-                    if not _beaten(child):
-                        children.append(child)
+                    found = []
+                    if not _beaten(child, found):
+                        children.append((child, found))
             level = children
-        for adj in level:
+        for adj, _ in level:
             g = Graph(adj)
             if connected:
                 reach, grown = 0, 1

@@ -216,7 +216,7 @@ def test_criterion_9d_twin_broom_regression():
 def test_criterion_10_proximity_and_influencing_invariants():
     start = time.perf_counter()
     violations = []
-    for g in enumerate_graphs(6, connected=True):
+    for g in enumerate_graphs(7, connected=True):
         n = g.order
         g6 = write_graph6(g)
         top_mask = g.max_degree_vertices()
@@ -241,7 +241,7 @@ def test_criterion_10_proximity_and_influencing_invariants():
     for row in violations:
         print(f"  violation: {row}")
     ok = not violations and elapsed < 600.0
-    _verdict("10", ok, f"locating and influencing invariants over connected graphs <=6, {len(violations)} violations, {elapsed:.2f}s (budget 600s)")
+    _verdict("10", ok, f"locating and influencing invariants over connected graphs <=7, {len(violations)} violations, {elapsed:.2f}s (budget 600s)")
 
 
 def test_criterion_11_solver_matches_brute_oracle():

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given
 
+import pdom.conjecture
 from pdom.conjecture import (
     REPORT_HEADER,
     ScanReport,
@@ -95,6 +97,53 @@ def test_bench_order7_file_is_the_order_7_enumeration():
     expected = [write_graph6(g) for g in enumerate_graphs(7) if g.order == 7]
     assert len(expected) == 853
     assert lines == expected
+
+
+def test_enumeration_search_size_is_pinned():
+    # Calls of the minimality test and of its nested search, counted with a
+    # profile hook; the outputs stay the same when a pruning stops firing, so
+    # only these counts show it. Without pruning they were 11,290 and 457,830.
+    beaten = pdom.conjecture._beaten.__code__
+    place = next(c for c in beaten.co_consts if getattr(c, "co_name", None) == "place")
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in (beaten, place):
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        graphs = sum(1 for _ in enumerate_graphs(7, connected=False))
+    finally:
+        sys.setprofile(None)
+    assert graphs == 1252
+    assert calls == {"_beaten": 5758, "place": 143064}
+
+
+def test_orbit_filter_keeps_exactly_the_orbit_minima(monkeypatch):
+    # Record each child that enumerate_graphs tests, as its parent and the
+    # new vertex 0's neighbourhood s, and compare the s tried per parent with
+    # the sets that are least in their orbit under the parent's automorphism
+    # group, found by trying every permutation.
+    tried = defaultdict(set)
+    beaten = pdom.conjecture._beaten
+
+    def record(adj, found):
+        tried[tuple(row >> 1 for row in adj[1:])].add(adj[0] >> 1)
+        return beaten(adj, found)
+
+    monkeypatch.setattr(pdom.conjecture, "_beaten", record)
+    parents = [g for g in enumerate_graphs(6, connected=False) if g.order <= 5]
+    assert len(parents) == 52
+    for g in parents:
+        n = g.order
+        edges = set(g.edges())
+        group = [perm for perm in permutations(range(n))
+                 if {tuple(sorted((perm[a], perm[b]))) for a, b in edges} == edges]
+        minima = {s for s in range(1 << n)
+                  if all(sum(1 << perm[v] for v in range(n) if s >> v & 1) >= s for perm in group)}
+        assert tried[g.adj] == minima, write_graph6(g)
+    assert len(tried) == len(parents)
 
 
 def _degree_key(g: nx.Graph) -> tuple:

@@ -41,11 +41,12 @@ REPORT_HEADER = "# g6_g g6_h p gp_g gp_h gp_prod holds"
 
 
 def _beaten(adj: tuple[int, ...], found: list[bytes]) -> bool:
-    """Does some relabelling of adj give a smaller edge mask? Any automorphism
-    of adj the search meets is added to found: each swap of two twins, and
-    each relabelling that gives adj's own mask. On every canonical graph of
-    order <= 5 they split the vertex sets into the same orbits as the whole
-    group does; a smaller group would only leave more children to test.
+    """Does some relabelling of adj give a smaller edge mask? Each automorphism
+    of adj the search meets, other than the identity, is added to found
+    once: each swap of two twins, and each relabelling that gives adj's own
+    mask. On every canonical graph of order <= 5 they split the vertex sets
+    into the same orbits as the whole group does; a smaller group would only
+    leave more children to test.
 
     Positions are filled from n-1 down to 0. img[w] holds the positions
     already taken by w's neighbours, so putting w at position j fixes the
@@ -67,6 +68,7 @@ def _beaten(adj: tuple[int, ...], found: list[bytes]) -> bool:
                 twins[b] |= 1 << a
                 found.append(bytes(b if v == a else a if v == b else v for v in range(n)))
     at = [0] * n  # at[j] is the vertex placed at position j
+    identity = bytes(range(n))
 
     def place(j: int, free: int, img: list[int]) -> bool:
         row = rows[j]
@@ -85,7 +87,9 @@ def _beaten(adj: tuple[int, ...], found: list[bytes]) -> bool:
             if block == row:
                 at[j] = w
                 if not j:
-                    found.append(bytes(at))
+                    perm = bytes(at)
+                    if perm != identity and perm not in found:
+                        found.append(perm)
                     continue
                 nxt = img[:]
                 u = adj[w] & free

@@ -146,16 +146,11 @@ def parse_edge_list(text: str) -> Graph:
     return from_edges(declared, edges)
 
 
-def write_dot(g: Graph, highlight: int = 0) -> str:
-    """DOT text for Graphviz; vertices in ``highlight`` are drawn filled."""
-    if highlight & ~g.full_mask:
-        raise ValueError("highlight mask mentions vertices outside the graph")
+def write_dot(g: Graph) -> str:
+    """DOT text for Graphviz."""
     lines = ["graph G {", "  node [shape=circle];"]
     for v in range(g.order):
-        if highlight >> v & 1:
-            lines.append(f"  {v} [style=filled];")
-        else:
-            lines.append(f"  {v};")
+        lines.append(f"  {v};")
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .domination import as_proportion
-from .graphs import Graph, mask_of
+from .graphs import mask_of
 
 
 def half_domination_path(n: int) -> int:
@@ -25,8 +25,7 @@ def half_domination_path(n: int) -> int:
 def half_domination_grid(m: int, n: int) -> int:
     """ceil(n/4) for a 2-row grid, ceil(m*n/10) for wider grids.
 
-    Verified against the solver for 2 <= m <= n <= 6 and for m = 2 up to
-    n = 12.
+    Verified against the solver for every 2 <= m <= n with mn <= 64.
     """
     if m < 2 or m > n:
         raise ValueError(f"grid formula needs 2 <= m <= n, got ({m}, {n})")
@@ -170,11 +169,3 @@ def influencing_intersection_path(n: int) -> int:
     if r == 1:
         return _labels(2, n - 1) | _labels(3, n)   # v_{2+3k}, v_{3+3k}
     return _labels(4, n) | _labels(2, n - 2)       # v_{1+3k} (k>0), v_{2+3j}
-
-
-def influencing_full_threshold(g: Graph) -> Fraction:
-    """Largest guaranteed proportion: for p up to (min degree + 1)/n the
-    influencing set is the whole vertex set."""
-    if g.order < 1:
-        raise ValueError("threshold needs at least one vertex")
-    return Fraction(g.min_degree() + 1, g.order)

@@ -1,11 +1,12 @@
-"""Degree-guided heuristics and where minimum sets sit near max-degree vertices.
+"""Where minimum sets sit around a maximum-degree vertex.
 
-A natural first guess for a small p-dominating set is to grab the vertices
-that cover the most. The greedy routine here does exactly that, and the
-verdict helpers measure how the true minimum sets relate to a maximum-degree
-vertex: whether some minimum set contains it, a neighbor of it, or a vertex
-at distance two. Verdicts report raw truth; they never assume the expected
-pattern holds.
+The verdict helpers measure how the minimum p-dominating sets relate to a
+maximum-degree vertex v: whether some minimum set contains v, a neighbour
+of v, or a vertex at distance two. Each of these asks whether the
+influencing set, the union of the minimum sets, meets that shell, so
+`proximity_verdict` reads one influencing set and never lists the family.
+`support_within_two` counts members of each minimum set, so it lists them.
+Verdicts report raw truth; they never assume the expected pattern holds.
 """
 
 from __future__ import annotations
@@ -13,23 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .domination import all_minimum_sets, as_proportion, coverage_target
+from .domination import all_minimum_sets, as_proportion, influencing_set
 from .graphs import Graph
-
-
-def greedy_high_degree(g: Graph, p: Fraction | int) -> int:
-    """Repeatedly take the vertex covering the most new vertices (ties to the
-    lower index) until the coverage target is met. Valid but not always
-    minimum."""
-    target = coverage_target(g.order, p)
-    closed = [g.closed_neighborhood(v) for v in range(g.order)]
-    chosen = 0
-    covered = 0
-    while covered.bit_count() < target:
-        best = max(range(g.order), key=lambda v: ((closed[v] & ~covered).bit_count(), -v))
-        chosen |= 1 << best
-        covered |= closed[best]
-    return chosen
 
 
 def _positive_proportion(p: Fraction | int) -> Fraction:
@@ -49,27 +35,22 @@ class LocatingVerdict:
     """How the minimum sets for one proportion sit around a max-degree vertex."""
 
     vertex: int
-    family_size: int
     contains_vertex: bool        # some minimum set contains the vertex itself
     hits_neighbors: bool         # some minimum set meets its open neighborhood
     hits_distance_two: bool      # some minimum set meets its distance-2 shell
 
 
 def proximity_verdict(g: Graph, p: Fraction | int, v: int) -> LocatingVerdict:
-    """Examine every minimum set for p and report which shells around the
-    max-degree vertex v are hit."""
+    """Report which shells around the max-degree vertex v the minimum sets
+    for p hit, read off their union, the influencing set."""
     p = _positive_proportion(p)
     _check_max_degree(g, v)
-    family = all_minimum_sets(g, p)
-    self_mask = 1 << v
-    nbr_mask = g.neighbors(v)
-    far_mask = g.distance_two_neighbors(v)
+    union = influencing_set(g, p)
     return LocatingVerdict(
         vertex=v,
-        family_size=len(family.sets),
-        contains_vertex=any(s & self_mask for s in family.sets),
-        hits_neighbors=any(s & nbr_mask for s in family.sets),
-        hits_distance_two=any(s & far_mask for s in family.sets),
+        contains_vertex=bool(union >> v & 1),
+        hits_neighbors=bool(union & g.neighbors(v)),
+        hits_distance_two=bool(union & g.distance_two_neighbors(v)),
     )
 
 

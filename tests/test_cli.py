@@ -90,6 +90,13 @@ def test_influence_single_proportion(capsys):
     assert capsys.readouterr().out == "influencing = {1,4}\n"
 
 
+def test_influence_pendant_wheel_union(capsys):
+    # The union that proximity_verdict reads for fig3 at 7/9: every vertex
+    # but the hub.
+    assert main(["influence", "--gen", "fig3", "--p", "7/9"]) == EXIT_OK
+    assert capsys.readouterr().out == "influencing = {1,2,3,4,5,6,7,8}\n"
+
+
 def test_influence_sweep_bipartite(capsys):
     assert main(["influence", "--gen", "complete-bipartite:4,2", "--all-p"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -367,10 +374,24 @@ def test_product_graph6(capsys):
 
 def test_product_dot(capsys):
     assert main(["product", "--gen", "path:2", "--gen2", "path:3", "--dot"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.startswith("graph G {\n")
-    assert out.endswith("}\n")
-    assert "0 -- 1;" in out
+    assert capsys.readouterr().out == (
+        "graph G {\n"
+        "  node [shape=circle];\n"
+        "  0;\n"
+        "  1;\n"
+        "  2;\n"
+        "  3;\n"
+        "  4;\n"
+        "  5;\n"
+        "  0 -- 1;\n"
+        "  0 -- 3;\n"
+        "  1 -- 2;\n"
+        "  1 -- 4;\n"
+        "  2 -- 5;\n"
+        "  3 -- 4;\n"
+        "  4 -- 5;\n"
+        "}\n"
+    )
 
 
 def test_file_input_edge_list(tmp_path, capsys):

@@ -146,6 +146,31 @@ def test_orbit_filter_keeps_exactly_the_orbit_minima(monkeypatch):
     assert len(tried) == len(parents)
 
 
+def test_generators_are_distinct_and_never_the_identity(monkeypatch):
+    # Each generator costs _orbit_minima an image table, so a kept graph's
+    # list holds each automorphism once and leaves out the identity.
+    kept = []
+    beaten = pdom.conjecture._beaten
+
+    def record(adj, found):
+        if beaten(adj, found):
+            return True
+        kept.append((adj, found))
+        return False
+
+    monkeypatch.setattr(pdom.conjecture, "_beaten", record)
+    assert sum(1 for _ in enumerate_graphs(7, connected=False)) == 1252
+    assert len(kept) == 1251  # every graph but the single vertex is a child
+    for adj, found in kept:
+        n = len(adj)
+        assert bytes(range(n)) not in found, adj
+        assert len(set(found)) == len(found), adj
+        for perm in found:  # each one is an automorphism of adj
+            assert all(sum(1 << perm[u] for u in range(n) if adj[v] >> u & 1) == adj[perm[v]]
+                       for v in range(n)), (adj, perm)
+    assert sum(len(found) for _, found in kept) == 3369
+
+
 def _degree_key(g: nx.Graph) -> tuple:
     """Order, and each vertex's degree with its neighbours' degrees, sorted."""
     return g.number_of_nodes(), tuple(sorted(

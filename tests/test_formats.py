@@ -24,7 +24,6 @@ from pdom.graphs import (
     complete_bipartite,
     cycle,
     from_edges,
-    mask_of,
     path,
     pendant_wheel_graph,
     star,
@@ -189,12 +188,10 @@ def test_write_dot_golden():
         "graph G {\n"
         "  node [shape=circle];\n"
         "  0;\n"
-        "  1 [style=filled];\n"
+        "  1;\n"
         "  2;\n"
         "  0 -- 1;\n"
         "  1 -- 2;\n"
         "}\n"
     )
-    assert write_dot(path(3), mask_of([1])) == expected
-    with pytest.raises(ValueError):
-        write_dot(path(3), mask_of([5]))
+    assert write_dot(path(3)) == expected

@@ -14,7 +14,6 @@ from pdom.formulas import (
     half_domination_path,
     half_domination_path_complete,
     influencing_complete_bipartite,
-    influencing_full_threshold,
     influencing_intersection_path,
     influencing_path,
 )
@@ -74,12 +73,12 @@ def test_half_domination_grid_values(m, n, expected):
 
 
 def test_half_domination_grid_matches_solver():
-    for n in range(2, 9):
-        got = partial_domination_number(cartesian_product(path(2), path(n)), HALF).size
-        assert half_domination_grid(2, n) == got
-    for m, n in [(3, 3), (3, 4), (3, 5), (4, 4), (4, 5)]:
+    # Every grid within the 64-vertex cap: 80 shapes.
+    shapes = [(m, n) for m in range(2, 9) for n in range(m, 64 // m + 1)]
+    assert len(shapes) == 80
+    for m, n in shapes:
         got = partial_domination_number(cartesian_product(path(m), path(n)), HALF).size
-        assert half_domination_grid(m, n) == got
+        assert half_domination_grid(m, n) == got, (m, n)
 
 
 def test_half_domination_grid_rejects_bad_shapes():
@@ -194,16 +193,11 @@ def test_influencing_intersection_path_matches_solver():
         influencing_intersection_path(2)
 
 
-def test_influencing_full_threshold():
-    assert influencing_full_threshold(complete(4)) == Fraction(1)
-    assert influencing_full_threshold(path(5)) == Fraction(2, 5)
-    assert influencing_full_threshold(pendant_wheel_graph()) == Fraction(2, 9)
-
-
 def test_threshold_guarantees_full_influence():
+    # For p up to (min degree + 1)/n every vertex is in some minimum set.
     for g in (path(7), complete(5), complete_bipartite(3, 2), pendant_wheel_graph()):
         n = g.order
-        bound = influencing_full_threshold(g)
+        bound = Fraction(g.min_degree() + 1, n)
         for k in range(1, n + 1):
             p = Fraction(k, n)
             if p <= bound:

@@ -1,66 +1,30 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
 
-from pdom.domination import is_p_dominating, partial_domination_number
+import pdom.domination
+import pdom.locating
 from pdom.graphs import (
-    complete,
-    mask_of,
     members,
     path,
     pendant_wheel_graph,
-    subdivided_star,
     twin_broom_tree,
     twin_hub_graph,
 )
-from pdom.locating import greedy_high_degree, proximity_verdict, support_within_two
+from pdom.locating import proximity_verdict, support_within_two
 
-from brute import random_connected_graph
+from brute import brute_minimum_sets, neighbor_sets
+from strategies import SEEDED, small_graphs
 
 HALF = Fraction(1, 2)
-
-
-def test_greedy_takes_hubs_then_corrects():
-    g = twin_hub_graph()
-    chosen = greedy_high_degree(g, Fraction(8, 9))
-    # the apex covers most but leads the greedy into a size-3 set
-    assert chosen == mask_of([0, 5, 6])
-    assert partial_domination_number(g, Fraction(8, 9)).size == 2
-
-
-def test_greedy_single_center_suffices():
-    assert greedy_high_degree(subdivided_star(8), HALF) == mask_of([0])
-    assert greedy_high_degree(complete(5), 1) == mask_of([0])
-
-
-def test_greedy_zero_target():
-    assert greedy_high_degree(path(3), 0) == 0
-
-
-def test_greedy_always_dominates(connected_upto_6):
-    for g in connected_upto_6:
-        n = g.order
-        for k in range(1, n + 1):
-            p = Fraction(k, n)
-            assert is_p_dominating(g, greedy_high_degree(g, p), p)
-
-
-def test_greedy_always_dominates_order_seven_samples():
-    rng = random.Random(2026)
-    for _ in range(25):
-        g = random_connected_graph(rng, 7)
-        for k in range(1, 8):
-            p = Fraction(k, 7)
-            assert is_p_dominating(g, greedy_high_degree(g, p), p)
 
 
 def test_verdict_twin_hub_high_proportion():
     verdict = proximity_verdict(twin_hub_graph(), Fraction(8, 9), 0)
     assert verdict.vertex == 0
-    assert verdict.family_size == 1
     assert not verdict.contains_vertex
     assert not verdict.hits_neighbors
     assert verdict.hits_distance_two
@@ -68,7 +32,6 @@ def test_verdict_twin_hub_high_proportion():
 
 def test_verdict_pendant_wheel():
     verdict = proximity_verdict(pendant_wheel_graph(), Fraction(7, 9), 0)
-    assert verdict.family_size == 10
     assert not verdict.contains_vertex
     assert verdict.hits_neighbors
     assert verdict.hits_distance_two
@@ -76,7 +39,6 @@ def test_verdict_pendant_wheel():
 
 def test_verdict_twin_broom():
     verdict = proximity_verdict(twin_broom_tree(), Fraction(9, 11), 0)
-    assert verdict.family_size == 1
     assert not verdict.contains_vertex
     assert verdict.hits_neighbors
 
@@ -108,3 +70,43 @@ def test_minimum_sets_stay_within_distance_two(connected_upto_5):
                 verdict = proximity_verdict(g, p, v)
                 assert verdict.contains_vertex or verdict.hits_neighbors or verdict.hits_distance_two
                 assert support_within_two(g, p, v) in (None, True)
+
+
+def test_verdict_never_lists_the_family(monkeypatch, connected_upto_5):
+    # The verdict reads the influencing set; listing every minimum set is
+    # what support_within_two does, and it would cost the whole family here.
+    def refuse(g, p):
+        raise AssertionError("proximity_verdict listed the family")
+
+    monkeypatch.setattr(pdom.locating, "all_minimum_sets", refuse)
+    monkeypatch.setattr(pdom.domination, "all_minimum_sets", refuse)
+    for g in connected_upto_5 + [twin_hub_graph(), pendant_wheel_graph(), twin_broom_tree()]:
+        for k in range(1, g.order + 1):
+            for v in members(g.max_degree_vertices()):
+                proximity_verdict(g, Fraction(k, g.order), v)
+
+
+@SEEDED
+@given(small_graphs())
+@example(twin_hub_graph())
+@example(pendant_wheel_graph())
+@example(twin_broom_tree())
+def test_verdict_matches_brute_family(g):
+    # Shells and family from the brute oracle's plain sets, not from the
+    # graph's masks.
+    nbrs = neighbor_sets(g)
+    n = g.order
+    for k in range(1, n + 1):
+        p = Fraction(k, n)
+        family = [set(combo) for combo in brute_minimum_sets(g, p)]
+        for v in members(g.max_degree_vertices()):
+            ring = set().union(*(nbrs[u] for u in nbrs[v])) - nbrs[v] - {v}
+            expected = (
+                any(v in s for s in family),
+                any(s & nbrs[v] for s in family),
+                any(s & ring for s in family),
+            )
+            verdict = proximity_verdict(g, p, v)
+            got = (verdict.contains_vertex, verdict.hits_neighbors, verdict.hits_distance_two)
+            assert verdict.vertex == v
+            assert got == expected, (g.adj, k, v)

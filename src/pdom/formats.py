@@ -1,9 +1,15 @@
 """graph6, edge-list, and DOT serialization.
 
 graph6 packs the upper triangle of the adjacency matrix column by column into
-printable characters (values 63..126, six bits each, zero padded). Parsers
-report the byte offset and, for multi-line input, the 1-based line number of
-the first problem.
+printable characters (values 63..126, six bits each, zero padded). Each
+direction holds the bits as one int with the first bit on top. The writer
+shifts the triangle in one column at a time, reverses its bits once, puts the
+order above them and emits six-bit groups from the top; the parser shifts the
+characters in, tests the padding as the low bits and reads the columns back
+down. A token may start with the optional ">>graph6<<" header, which networkx
+writes by default; offsets count from the token's first character, the
+header included. Parsers report the byte offset and, for multi-line input,
+the 1-based line number of the first problem.
 """
 
 from __future__ import annotations
@@ -28,23 +34,18 @@ class FormatError(ValueError):
 
 def write_graph6(g: Graph) -> str:
     n = g.order
-    if n <= 62:
-        head = chr(n + 63)
-    else:  # cap is 64, so the 18-bit order form always suffices
-        head = "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
-    bits = []
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
-    body = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = val << 1 | b
-        val <<= 6 - len(bits[k:k + 6])  # zero padding in the final group
-        body.append(chr(val + 63))
-    return head + "".join(body)
+    long = n > 62  # cap is 64, so the 18-bit order form always suffices
+    stream = length = 0
+    for j in range(1, n):  # column j: the edges i-j for i < j, bit i of adj[j]
+        stream |= (g.adj[j] & (1 << j) - 1) << length
+        length += j
+    # Reversed, the stream's first bit is on top, and the order goes above
+    # it, in one six-bit group or in three after "~".
+    bits = n << length | int(f"{stream:0{length}b}"[::-1], 2)
+    length += 18 if long else 6
+    pad = -length % 6
+    bits <<= pad  # zero padding in the final group
+    return "~" * long + "".join(chr((bits >> k & 63) + 63) for k in range(length + pad - 6, -1, -6))
 
 
 def _char_value(text: str, pos: int, line: int | None) -> int:
@@ -57,20 +58,18 @@ def _char_value(text: str, pos: int, line: int | None) -> int:
 def parse_graph6(text: str, *, _line: int | None = None) -> Graph:
     """Parse a single graph6 token (surrounding whitespace ignored)."""
     token = text.strip()
-    if not token:
+    start = 10 if token.startswith(">>graph6<<") else 0
+    if start == len(token):
         raise FormatError("empty graph6 token", line=_line)
-    if token.startswith("~~"):
+    if token.startswith("~~", start):
         raise VertexCapError(f"order beyond {MAX_VERTICES} (long-form graph6 header)")
-    if token.startswith("~"):
-        if len(token) < 4:
-            raise FormatError("truncated graph6 order header", line=_line, offset=len(token))
-        n = 0
-        for pos in range(1, 4):
-            n = n << 6 | _char_value(token, pos, _line)
-        body_start = 4
-    else:
-        n = _char_value(token, 0, _line)
-        body_start = 1
+    long = token.startswith("~", start)  # the order in the three characters after "~"
+    body_start = start + (4 if long else 1)
+    if len(token) < body_start:
+        raise FormatError("truncated graph6 order header", line=_line, offset=len(token))
+    n = 0
+    for pos in range(start + long, body_start):
+        n = n << 6 | _char_value(token, pos, _line)
     if n > MAX_VERTICES:
         raise VertexCapError(f"order {n} exceeds the cap of {MAX_VERTICES}")
     edge_bits = n * (n - 1) // 2
@@ -82,18 +81,23 @@ def parse_graph6(text: str, *, _line: int | None = None) -> Graph:
             line=_line,
             offset=min(len(token), expected),
         )
-    values = [_char_value(token, pos, _line) for pos in range(body_start, len(token))]
-    adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            bit = values[k // 6] >> (5 - k % 6) & 1
-            if bit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
-    if values and values[-1] & (1 << (-edge_bits % 6)) - 1:
+    bits = 0
+    for pos in range(body_start, expected):
+        bits = bits << 6 | _char_value(token, pos, _line)
+    pad = -edge_bits % 6
+    if bits & (1 << pad) - 1:
         raise FormatError("nonzero padding bits", line=_line, offset=len(token) - 1)
+    adj = [0] * n
+    k = edge_bits + pad
+    for j in range(1, n):
+        k -= j
+        col = bits >> k & (1 << j) - 1  # bit j - 1 - i: the edge i-j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            col ^= low
     return Graph(tuple(adj))
 
 

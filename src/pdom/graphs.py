@@ -83,13 +83,12 @@ class Graph:
         if n > MAX_VERTICES:
             raise VertexCapError(f"order {n} exceeds the cap of {MAX_VERTICES}")
         full = (1 << n) - 1
-        for v, row in enumerate(self.adj):
+        adj = self.adj
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"neighborhood of vertex {v} mentions vertices >= {n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        adj = self.adj
-        for v, row in enumerate(adj):
             while row:
                 low = row & -row
                 u = low.bit_length() - 1
@@ -169,15 +168,14 @@ class Graph:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Graph of order n with the given edge list (loops and range errors rejected)."""
+    """Graph of order n with the given edge list (range errors rejected here,
+    loops by Graph)."""
     if n < 0:
         raise ValueError(f"negative order {n}")
     if n > MAX_VERTICES:
         raise VertexCapError(f"order {n} exceeds the cap of {MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
         adj[u] |= 1 << v

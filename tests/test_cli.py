@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import pdom
@@ -352,6 +353,20 @@ def test_scan_spider_square_fails_golden(tmp_path, capsys):
     ]
 
 
+def test_scan_reads_networkx_graph6_file(tmp_path, capsys):
+    # networkx writes each graph after a ">>graph6<<" header by default.
+    listing = tmp_path / "spider.g6"
+    nx.write_graph6(nx.from_graph6_bytes(b"FFHC?"), str(listing))
+    assert listing.read_text() == ">>graph6<<FFHC?\n"
+    assert main(["scan", "--graphs", str(listing), "--p", "3/4"]) == EXIT_SCAN_FAILURE
+    assert capsys.readouterr().out.splitlines() == [
+        "# g6_g g6_h p gp_g gp_h gp_prod holds",
+        "# family=external",
+        "FFHC? FFHC? 3/4 3 3 8 false witness={0,1,10,19,20,25,31,44}",
+        "pairs=1, failures=1",
+    ]
+
+
 def test_scan_rejects_disconnected_flag_with_file(tmp_path, capsys):
     assert main(["scan", "--graphs", str(tmp_path / "absent.g6"), "--include-disconnected", "--p", "1/2"]) == EXIT_PARSE
     assert "include-disconnected" in capsys.readouterr().err
@@ -370,6 +385,19 @@ def test_product_graph6(capsys):
     assert out == write_graph6(expected) + "\n"
     assert parse_graph6(out.strip()).adj == expected.adj
     assert brute_canonical(parse_graph6(out.strip())) == brute_canonical(cycle(4))
+
+
+def test_product_graph6_long_header(capsys):
+    # 64 vertices: the order takes the four-character "~" form. The same
+    # golden is diffed in .github/workflows/smoke.yml.
+    assert main(["product", "--gen", "path:8", "--gen2", "path:8"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "~?@?hCGGE?OH?a@A@@?_OGA@?G??OG?OG?GC?A@??OG?@?_?A@??A???@?_??OG??A@???"
+        "GC???OG???OG???GC???A?????OG???@?_???A@????A@????@?_????OG????A@?????G"
+        "??????OG?????OG?????GC?????A@??????OG?????@?_?????A@??????A???????@?_?"
+        "?????OG??????A@???????GC???????OG???????OG???????GC???????A?????????OG"
+        "???????@?_???????A@????????A@????????@?_????????OG????????A@\n"
+    )
 
 
 def test_product_dot(capsys):
@@ -410,6 +438,30 @@ def test_file_input_graph6(tmp_path, capsys):
     listing.write_text(write_graph6(complete(4)) + "\n")
     assert main(["influence", "--file", str(listing), "--p", "1/1"]) == EXIT_OK
     assert capsys.readouterr().out == "influencing = {0,1,2,3}\n"
+
+
+def test_file_input_networkx_graph6(tmp_path, capsys):
+    listing = tmp_path / "petersen.g6"
+    nx.write_graph6(nx.petersen_graph(), str(listing))
+    assert listing.read_text() == ">>graph6<<IheA@GUAo\n"
+    assert main(["gamma", "--file", str(listing), "--p", "1/1"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "gamma_p = 3\n"
+        "witness = {0,2,6}\n"
+        "covered = 10 of 10 (target 10)\n"
+    )
+
+
+def test_file_input_headed_graph6_golden(tmp_path, capsys):
+    # The headed one-line file that .github/workflows/smoke.yml reads.
+    listing = tmp_path / "headed.g6"
+    listing.write_text(">>graph6<<Ch\n")
+    assert main(["gamma", "--file", str(listing), "--p", "1/2"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "gamma_p = 1\n"
+        "witness = {0}\n"
+        "covered = 2 of 4 (target 2)\n"
+    )
 
 
 def test_file_with_multiple_graphs_rejected(tmp_path, capsys):

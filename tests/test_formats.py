@@ -112,8 +112,56 @@ def test_long_order_header():
         assert parse_graph6(encoded).adj == g.adj
 
 
+# write_graph6 at the cap, pinned as literals: a round trip passes when the
+# writer and the parser go wrong in the same way, and ORDER_7_SHA256 stops at
+# order 7. Both use the four-character "~" order header.
+CYCLE_63 = (
+    "~??~hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@???"
+    "?C????G????G????C????@?????G?????_????@?????@??????_?????G?????@??????"
+    "C??????G??????G??????C??????@???????G???????_??????@???????@????????_?"
+    "??????G???????@????????C????????G????????G????????C????????@?????????G"
+    "?????????_????????@?????????@??????????o?????????G"
+)
+P8_X_P8 = (
+    "~?@?hCGGE?OH?a@A@@?_OGA@?G??OG?OG?GC?A@??OG?@?_?A@??A???@?_??OG??A@???"
+    "GC???OG???OG???GC???A?????OG???@?_???A@????A@????@?_????OG????A@?????G"
+    "??????OG?????OG?????GC?????A@??????OG?????@?_?????A@??????A???????@?_?"
+    "?????OG??????A@???????GC???????OG???????OG???????GC???????A?????????OG"
+    "???????@?_???????A@????????A@????????@?_????????OG????????A@"
+)
+
+
+@pytest.mark.parametrize("g,expected", [
+    (cycle(63), CYCLE_63),
+    (cartesian_product(path(8), path(8)), P8_X_P8),
+], ids=["C63", "P8xP8"])
+def test_write_graph6_goldens_at_the_cap(g, expected):
+    assert len(expected) == 4 + (g.order * (g.order - 1) // 2 + 5) // 6
+    assert write_graph6(g) == expected
+    assert parse_graph6(expected).adj == g.adj
+
+
 def test_parse_graph6_ignores_surrounding_whitespace():
     assert parse_graph6(" A_\n").adj == path(2).adj
+
+
+def test_parse_graph6_skips_the_graph6_header():
+    assert parse_graph6(">>graph6<<A_").adj == path(2).adj
+    assert parse_graph6(" >>graph6<<" + P8_X_P8 + "\n").adj == cartesian_product(path(8), path(8)).adj
+    # Offsets count from the start of the token, the header included.
+    with pytest.raises(FormatError, match="character '!' outside the graph6 range") as err:
+        read_graph6_lines("A_\n>>graph6<<A!\n")
+    assert (err.value.line, err.value.offset) == (2, 11)
+    with pytest.raises(FormatError) as err:
+        parse_graph6(">>graph6<<")
+    assert "empty graph6 token" in str(err.value)
+
+
+@pytest.mark.parametrize("text", [">>sparse6<<:An", ">>graph6<A_", ">>digraph6<<&A?"])
+def test_parse_graph6_rejects_other_headers(text):
+    with pytest.raises(FormatError, match="character '>' outside the graph6 range") as err:
+        parse_graph6(text)
+    assert err.value.offset == 0
 
 
 @pytest.mark.parametrize("bad,pos", [
@@ -134,6 +182,11 @@ def test_parse_graph6_bad_characters_and_padding():
     with pytest.raises(FormatError) as err:
         parse_graph6("A" + chr(30))
     assert err.value.offset == 1
+    # chr(30) is whitespace to str.strip, so the case above meets the length
+    # check; a body character below 63 meets the range check.
+    with pytest.raises(FormatError, match="character '!' outside the graph6 range") as err:
+        parse_graph6("D?!")
+    assert err.value.offset == 2
     # order 2 has one edge bit; the remaining five must stay zero
     with pytest.raises(FormatError):
         parse_graph6("A`")

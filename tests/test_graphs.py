@@ -84,8 +84,17 @@ def test_asymmetric_adjacency_reports_first_pair():
         Graph(adj)
 
 
+def test_one_pass_validation_reports_the_first_faulty_row():
+    # Each row is checked for range, then self-loop, then symmetry before the
+    # next row: row 0 lacks its partner in row 1, and the self-loop at 2 comes
+    # later.
+    adj = (mask_of([1]), 0, mask_of([2]))
+    with pytest.raises(ValueError, match=r"^asymmetric adjacency between 1 and 0$"):
+        Graph(adj)
+
+
 def test_from_edges_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-loop"):
         from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         from_edges(3, [(0, 3)])

@@ -157,6 +157,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.graphs is not None:
         family = "external"
         members = read_graph6_lines(Path(args.graphs).read_text())
+        if not members:
+            raise ValueError(f"{args.graphs} holds 0 graphs; expected at least one")
     else:
         if not 1 <= args.max_order <= MAX_ENUM_ORDER:
             raise ValueError(f"--max-order must be in 1..{MAX_ENUM_ORDER}, got {args.max_order}")
@@ -220,10 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once: building costs far more than a parse
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

@@ -359,11 +359,6 @@ def partial_domination_number(g: Graph, p: Fraction | int) -> SolveResult:
     return SolveResult(size, witness)
 
 
-def domination_number(g: Graph) -> SolveResult:
-    """Ordinary domination: every vertex must be covered (p = 1)."""
-    return partial_domination_number(g, Fraction(1))
-
-
 def all_minimum_sets(g: Graph, p: Fraction | int) -> SetFamily:
     """Every minimum p-dominating set; {empty set} when the target is 0."""
     size, _, hits = next(_minimum_covers(g, "all", [coverage_target(g.order, p)]))
@@ -387,6 +382,7 @@ def influencing_intersection(g: Graph) -> int:
     if g.order < 1:
         raise ValueError("influencing intersection needs at least one vertex")
     out = g.full_mask
+    # Own loop: via influencing_sweep (a Fraction per p) the 996 sweep graphs took 39 ms, not 31 (Xeon, CPython 3.11).
     for _, found, _ in _minimum_covers(g, "union", range(1, g.order + 1)):
         out &= found
     return out

@@ -7,9 +7,15 @@ shifts the triangle in one column at a time, reverses its bits once, puts the
 order above them and emits six-bit groups from the top; the parser shifts the
 characters in, tests the padding as the low bits and reads the columns back
 down. A token may start with the optional ">>graph6<<" header, which networkx
-writes by default; offsets count from the token's first character, the
-header included. Parsers report the byte offset and, for multi-line input,
-the 1-based line number of the first problem.
+writes by default.
+
+Errors give the position of the first problem as written. Lines end at "\n"
+alone and are numbered from 1; a "\r" before it is blank space, as are the
+other characters that str.splitlines also breaks at. An offset counts
+characters from the first character of the text parse_graph6 was given, or
+of the line read_graph6_lines gave it: leading blanks and the header count.
+parse_graph6 reports the offset, read_graph6_lines adds the line number,
+and parse_edge_list reports the line number alone.
 """
 
 from __future__ import annotations
@@ -21,15 +27,13 @@ class FormatError(ValueError):
     """Malformed serialized graph; carries position info when available."""
 
     def __init__(self, message: str, *, line: int | None = None, offset: int | None = None):
+        super().__init__(message)
         self.line = line
         self.offset = offset
-        where = []
-        if line is not None:
-            where.append(f"line {line}")
-        if offset is not None:
-            where.append(f"offset {offset}")
-        prefix = ", ".join(where)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+
+    def __str__(self) -> str:
+        where = ", ".join(f"{k} {v}" for k, v in (("line", self.line), ("offset", self.offset)) if v is not None)
+        return f"{where}: {self.args[0]}" if where else self.args[0]
 
 
 def write_graph6(g: Graph) -> str:
@@ -48,45 +52,45 @@ def write_graph6(g: Graph) -> str:
     return "~" * long + "".join(chr((bits >> k & 63) + 63) for k in range(length + pad - 6, -1, -6))
 
 
-def _char_value(text: str, pos: int, line: int | None) -> int:
-    c = ord(text[pos])
-    if not 63 <= c <= 126:
-        raise FormatError(f"character {text[pos]!r} outside the graph6 range", line=line, offset=pos)
-    return c - 63
+def _six_bit_groups(text: str, start: int, stop: int) -> int:
+    """text[start:stop] as one int, six bits a character, the first on top."""
+    out = 0
+    for pos in range(start, stop):
+        c = ord(text[pos]) - 63
+        if not 0 <= c < 64:
+            raise FormatError(f"character {text[pos]!r} outside the graph6 range", offset=pos)
+        out = out << 6 | c
+    return out
 
 
-def parse_graph6(text: str, *, _line: int | None = None) -> Graph:
+def parse_graph6(text: str) -> Graph:
     """Parse a single graph6 token (surrounding whitespace ignored)."""
-    token = text.strip()
-    start = 10 if token.startswith(">>graph6<<") else 0
-    if start == len(token):
-        raise FormatError("empty graph6 token", line=_line)
-    if token.startswith("~~", start):
+    start = len(text) - len(text.lstrip())  # the token is text[start:end]
+    end = len(text.rstrip())
+    start += 10 * text.startswith(">>graph6<<", start)  # the optional header
+    if start >= end:
+        raise FormatError("empty graph6 token")
+    if text.startswith("~~", start):
         raise VertexCapError(f"order beyond {MAX_VERTICES} (long-form graph6 header)")
-    long = token.startswith("~", start)  # the order in the three characters after "~"
+    long = text.startswith("~", start)  # the order in the three characters after "~"
     body_start = start + (4 if long else 1)
-    if len(token) < body_start:
-        raise FormatError("truncated graph6 order header", line=_line, offset=len(token))
-    n = 0
-    for pos in range(start + long, body_start):
-        n = n << 6 | _char_value(token, pos, _line)
+    if end < body_start:
+        raise FormatError("truncated graph6 order header", offset=end)
+    n = _six_bit_groups(text, start + long, body_start)
     if n > MAX_VERTICES:
         raise VertexCapError(f"order {n} exceeds the cap of {MAX_VERTICES}")
     edge_bits = n * (n - 1) // 2
     expected = body_start + (edge_bits + 5) // 6
-    if len(token) != expected:
+    if end != expected:
         raise FormatError(
-            f"body length {len(token) - body_start} does not match order {n} "
+            f"body length {end - body_start} does not match order {n} "
             f"(expected {expected - body_start} characters)",
-            line=_line,
-            offset=min(len(token), expected),
+            offset=min(end, expected),
         )
-    bits = 0
-    for pos in range(body_start, expected):
-        bits = bits << 6 | _char_value(token, pos, _line)
+    bits = _six_bit_groups(text, body_start, expected)
     pad = -edge_bits % 6
     if bits & (1 << pad) - 1:
-        raise FormatError("nonzero padding bits", line=_line, offset=len(token) - 1)
+        raise FormatError("nonzero padding bits", offset=end - 1)
     adj = [0] * n
     k = edge_bits + pad
     for j in range(1, n):
@@ -104,9 +108,13 @@ def parse_graph6(text: str, *, _line: int | None = None) -> Graph:
 def read_graph6_lines(text: str) -> list[Graph]:
     """Parse one graph6 token per nonblank line."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         if raw.strip():
-            out.append(parse_graph6(raw, _line=lineno))
+            try:
+                out.append(parse_graph6(raw))
+            except FormatError as exc:
+                exc.line = lineno
+                raise
     return out
 
 
@@ -116,7 +124,7 @@ def parse_edge_list(text: str) -> Graph:
     is one more than the largest index seen."""
     declared: int | None = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if not tokens:
             continue

@@ -108,10 +108,6 @@ class Graph:
         if not 0 <= v < len(self.adj):
             raise ValueError(f"vertex {v} out of range for order {len(self.adj)}")
 
-    def neighbors(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self.adj[v].bit_count()
@@ -131,10 +127,6 @@ class Graph:
         top = self.max_degree()
         return mask_of(v for v in range(self.order) if self.adj[v].bit_count() == top)
 
-    def closed_neighborhood(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v] | 1 << v
-
     def closed_neighborhood_of_set(self, s: int) -> int:
         """N[S]: S together with every neighbor of a member of S."""
         if s & ~self.full_mask:
@@ -147,14 +139,10 @@ class Graph:
             t ^= low
         return out
 
-    def distance_two_neighbors(self, v: int) -> int:
-        """Vertices at distance exactly two from v."""
-        closed = self.closed_neighborhood(v)
-        return self.closed_neighborhood_of_set(closed) & ~closed
-
     def closed_two_ball(self, v: int) -> int:
         """Vertices at distance at most two from v (v included)."""
-        return self.closed_neighborhood_of_set(self.closed_neighborhood(v))
+        self._check_vertex(v)
+        return self.closed_neighborhood_of_set(self.adj[v] | 1 << v)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
@@ -162,9 +150,6 @@ class Graph:
             row = self.adj[u] >> (u + 1) << (u + 1)
             for v in members(row):
                 yield (u, v)
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -49,8 +49,8 @@ def proximity_verdict(g: Graph, p: Fraction | int, v: int) -> LocatingVerdict:
     return LocatingVerdict(
         vertex=v,
         contains_vertex=bool(union >> v & 1),
-        hits_neighbors=bool(union & g.neighbors(v)),
-        hits_distance_two=bool(union & g.distance_two_neighbors(v)),
+        hits_neighbors=bool(union & g.adj[v]),
+        hits_distance_two=bool(union & g.closed_two_ball(v) & ~(g.adj[v] | 1 << v)),
     )
 
 

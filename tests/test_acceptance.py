@@ -208,7 +208,7 @@ def test_criterion_9d_twin_broom_regression():
     g = twin_broom_tree()
     family = all_minimum_sets(g, Fraction(9, 11)).sets
     root_free = all(not s >> 0 & 1 for s in family)
-    inside = any(s & ~g.neighbors(0) == 0 for s in family)
+    inside = any(s & ~g.adj[0] == 0 for s in family)
     ok = bool(g.max_degree_vertices() >> 0 & 1) and root_free and inside
     _verdict("9d", ok, f"root excluded from all {len(family)} sets: {root_free}, some set inside N(root): {inside}")
 

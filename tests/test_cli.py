@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import random
@@ -372,6 +373,16 @@ def test_scan_rejects_disconnected_flag_with_file(tmp_path, capsys):
     assert "include-disconnected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
+def test_scan_rejects_file_without_graphs(tmp_path, capsys, text):
+    listing = tmp_path / "empty.g6"
+    listing.write_text(text)
+    assert main(["scan", "--graphs", str(listing), "--p", "1/2"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {listing} holds 0 graphs; expected at least one\n"
+
+
 def test_scan_order_out_of_range(capsys):
     for order in ["9", "0"]:
         assert main(["scan", "--max-order", order, "--p", "1/2"]) == EXIT_PARSE
@@ -505,6 +516,16 @@ def test_help_exits_zero(capsys):
 
 def test_parser_program_name():
     assert build_parser().prog == "pdom"
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(k) or init(self, *a, **k))
+    assert main(["gamma", "--gen", "path:6", "--p", "1/2"]) == EXIT_OK
+    assert main(["enumerate", "--gen", "fig2", "--p", "8/9"]) == EXIT_OK
+    assert capsys.readouterr().out == "gamma_p = 1\nwitness = {1}\ncovered = 3 of 6 (target 3)\n{5,6}\n"
+    assert built == []
 
 
 def test_run_raises_system_exit(monkeypatch, capsys):

@@ -15,7 +15,6 @@ from pdom.domination import (
     _minimum_covers,
     all_minimum_sets,
     coverage_target,
-    domination_number,
     influencing_intersection,
     influencing_set,
     influencing_sweep,
@@ -107,20 +106,20 @@ def test_is_p_dominating():
 def test_solver_on_paths():
     assert partial_domination_number(path(6), HALF) == SolveResult(1, mask_of([1]))
     assert partial_domination_number(path(6), Fraction(1)) == SolveResult(2, mask_of([1, 4]))
-    assert domination_number(path(6)).size == 2
+    assert partial_domination_number(path(6), 1).size == 2
 
 
 def test_solver_trivial_boundaries():
     assert partial_domination_number(Graph(()), Fraction(1)) == SolveResult(0, 0)
     assert partial_domination_number(path(3), 0) == SolveResult(0, 0)
     assert partial_domination_number(path(1), 0) == SolveResult(0, 0)
-    assert domination_number(complete(7)).size == 1
+    assert partial_domination_number(complete(7), 1).size == 1
 
 
 def test_solver_on_subdivided_star():
     g = subdivided_star(8)
     assert partial_domination_number(g, HALF) == SolveResult(1, mask_of([0]))
-    result = domination_number(g)
+    result = partial_domination_number(g, 1)
     assert result.size == 8
     assert result.witness == mask_of(range(1, 9))  # the inner ring
 

@@ -207,11 +207,32 @@ def test_read_graph6_lines_reports_line_numbers():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("blank", ["\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"],
+                         ids=["CR", "FS", "GS", "RS", "NEL", "LS"])
+def test_lines_end_at_newline_alone(blank):
+    # str.splitlines also breaks at these; here they are blank space.
+    with pytest.raises(FormatError) as err:
+        read_graph6_lines(f"A_{blank}\nA!")
+    assert (err.value.line, err.value.offset) == (2, 1)
+    with pytest.raises(FormatError) as err:
+        parse_edge_list(f"0 1{blank}\n2 x")
+    assert err.value.line == 2
+
+
+def test_offsets_count_leading_blanks():
+    with pytest.raises(FormatError, match=r"^line 1, offset 3: character '!' outside the graph6 range$") as err:
+        read_graph6_lines("  A!")
+    assert (err.value.line, err.value.offset) == (1, 3)
+    with pytest.raises(FormatError, match=r"^offset 3: ") as err:
+        parse_graph6("  A!")
+    assert err.value.line is None
+
+
 def test_parse_edge_list_basic():
     assert parse_edge_list("0 1\n1 2").adj == path(3).adj
     assert parse_edge_list("n 4\n0 1\n").adj == from_edges(4, [(0, 1)]).adj
     assert parse_edge_list("n 3").order == 3  # isolated vertices only
-    assert parse_edge_list("0 1\n0 1\n").edge_count() == 1
+    assert list(parse_edge_list("0 1\n0 1\n").edges()) == [(0, 1)]
 
 
 @pytest.mark.parametrize("text,line", [

@@ -101,18 +101,19 @@ def test_from_edges_validation():
     with pytest.raises(ValueError):
         from_edges(-1, [])
     g = from_edges(3, [(0, 1), (1, 0)])  # duplicates collapse
-    assert g.edge_count() == 1
+    assert list(g.edges()) == [(0, 1)]
 
 
 def test_vertex_queries_and_range_checks():
     g = path(3)
     assert g.order == 3
-    assert g.closed_neighborhood(1) == mask_of([0, 1, 2])
+    assert g.adj[1] == mask_of([0, 2])
     assert g.degree(0) == 1 and g.degree(1) == 2
     with pytest.raises(ValueError):
         g.degree(3)
-    with pytest.raises(ValueError):
-        g.closed_neighborhood(-1)
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            g.closed_two_ball(v)
     with pytest.raises(ValueError):
         g.closed_neighborhood_of_set(1 << 5)
     empty = Graph(())
@@ -126,7 +127,7 @@ def test_degree_statistics():
     assert complete(5).max_degree() == complete(5).min_degree() == 4
     assert star(6).max_degree() == 6
     assert star(6).min_degree() == 1
-    assert complete(4).closed_neighborhood(0) == mask_of(range(4))
+    assert complete(4).adj[0] == mask_of(range(1, 4))
 
 
 def test_closed_neighborhood_of_set():
@@ -147,27 +148,27 @@ def test_coverage_monotone_under_inclusion():
 
 
 def test_distance_two_shells():
+    # the vertices at distance exactly two: the 2-ball less N[v]
     g = path(6)
-    assert g.distance_two_neighbors(0) == mask_of([2])
     assert g.closed_two_ball(0) == mask_of([0, 1, 2])
-    assert cycle(6).distance_two_neighbors(0) == mask_of([2, 4])
-    assert complete(4).distance_two_neighbors(0) == 0
+    for h, shell in [(g, [2]), (cycle(6), [2, 4]), (complete(4), [])]:
+        assert h.closed_two_ball(0) & ~(h.adj[0] | 1) == mask_of(shell)
 
 
 @pytest.mark.parametrize("n,edges", [(1, 0), (2, 1), (6, 5)])
 def test_path_shape(n, edges):
     g = path(n)
-    assert g.order == n and g.edge_count() == edges
+    assert g.order == n and len(list(g.edges())) == edges
     with pytest.raises(ValueError):
         path(0)
 
 
 def test_generator_shapes():
-    assert cycle(5).edge_count() == 5
+    assert len(list(cycle(5).edges())) == 5
     assert all(cycle(5).degree(v) == 2 for v in range(5))
-    assert complete(6).edge_count() == 15
+    assert len(list(complete(6).edges())) == 15
     g = complete_bipartite(4, 2)
-    assert g.order == 6 and g.edge_count() == 8
+    assert g.order == 6 and len(list(g.edges())) == 8
     assert [g.degree(v) for v in range(6)] == [2, 2, 2, 2, 4, 4]
     with pytest.raises(ValueError):
         cycle(2)
@@ -194,13 +195,13 @@ def test_generators_check_cap_before_building_edges(make):
 def test_subdivided_star_shape():
     g = subdivided_star(8)
     assert g.order == 17
-    assert g.edge_count() == 16
+    assert len(list(g.edges())) == 16
     assert g.degree(0) == 8
-    assert g.closed_neighborhood(0) == mask_of(range(9))
+    assert g.adj[0] == mask_of(range(1, 9))
     # every leg: center - inner - leaf
     for i in range(1, 9):
-        assert g.neighbors(i) == mask_of([0, 8 + i])
-        assert g.neighbors(8 + i) == mask_of([i])
+        assert g.adj[i] == mask_of([0, 8 + i])
+        assert g.adj[8 + i] == mask_of([i])
 
 
 def test_twin_hub_fixture_shape():
@@ -212,36 +213,36 @@ def test_twin_hub_fixture_shape():
     # the two hubs together reach everything except the apex
     assert g.closed_neighborhood_of_set(mask_of([5, 6])) == g.full_mask & ~1
     # hubs sit at distance two from the apex
-    assert g.distance_two_neighbors(0) == mask_of([5, 6])
+    assert g.closed_two_ball(0) & ~(g.adj[0] | 1) == mask_of([5, 6])
 
 
 def test_pendant_wheel_fixture_shape():
     g = pendant_wheel_graph()
     assert g.order == 9
     assert g.degree(0) == 4
-    assert g.neighbors(0) == mask_of([1, 2, 3, 4])
+    assert g.adj[0] == mask_of([1, 2, 3, 4])
     # ring vertices: hub + two ring neighbors + pendant
     for v in range(1, 5):
         assert g.degree(v) == 4
     for v in range(5, 9):
         assert g.degree(v) == 1
-        assert g.neighbors(v) == mask_of([v - 4])
+        assert g.adj[v] == mask_of([v - 4])
 
 
 def test_twin_broom_fixture_shape():
     g = twin_broom_tree()
     assert g.order == 11
-    assert g.edge_count() == 10  # a tree
-    assert g.neighbors(0) == mask_of([1, 2, 3, 4])
+    assert len(list(g.edges())) == 10  # a tree
+    assert g.adj[0] == mask_of([1, 2, 3, 4])
     assert g.max_degree() == 4
     assert g.max_degree_vertices() == mask_of([0, 2, 3])
-    assert g.neighbors(2) == mask_of([0, 5, 6, 7])
-    assert g.neighbors(3) == mask_of([0, 8, 9, 10])
+    assert g.adj[2] == mask_of([0, 5, 6, 7])
+    assert g.adj[3] == mask_of([0, 8, 9, 10])
 
 
 def test_product_of_two_edges_is_a_square():
     g = cartesian_product(path(2), path(2))
-    assert g.order == 4 and g.edge_count() == 4
+    assert g.order == 4 and len(list(g.edges())) == 4
     assert all(g.degree(v) == 2 for v in range(4))
 
 
@@ -278,7 +279,7 @@ def test_path_complete_product_max_degree():
     g = cartesian_product(path(5), complete(4))
     # interior path positions contribute 2, the complete factor m-1 = 3
     assert g.max_degree() == 5
-    assert max(g.closed_neighborhood(v).bit_count() for v in range(g.order)) == 6
+    assert max((row | 1 << v).bit_count() for v, row in enumerate(g.adj)) == 6
 
 
 def test_product_degree_sum_rule():

@@ -52,6 +52,14 @@ def test_verdict_validation():
         support_within_two(path(3), 0, 1)
 
 
+@pytest.mark.parametrize("v", [-1, 3])
+@pytest.mark.parametrize("verdict", [proximity_verdict, support_within_two])
+def test_verdicts_reject_out_of_range_vertices(verdict, v):
+    # Both index g.adj[v], where v = -1 would wrap round to the last vertex.
+    with pytest.raises(ValueError, match=f"^vertex {v} out of range for order 3$"):
+        verdict(path(3), HALF, v)
+
+
 def test_support_within_two_examples():
     assert support_within_two(twin_hub_graph(), Fraction(8, 9), 0) is True
     assert support_within_two(twin_broom_tree(), Fraction(9, 11), 0) is True

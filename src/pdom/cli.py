@@ -156,9 +156,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     p = parse_proportion(args.p)
     if args.graphs is not None:
         family = "external"
-        members = read_graph6_lines(Path(args.graphs).read_text())
+        text = Path(args.graphs).read_text()
+        members = read_graph6_lines(text)
         if not members:
             raise ValueError(f"{args.graphs} holds 0 graphs; expected at least one")
+        lines = (k for k, raw in enumerate(text.split("\n"), start=1) if raw.strip())  # as read_graph6_lines reads them
+        for lineno, g in zip(lines, members):
+            if not g.order:
+                raise ValueError(f"{args.graphs}, line {lineno}: a scan factor needs at least one vertex, got order 0")
     else:
         if not 1 <= args.max_order <= MAX_ENUM_ORDER:
             raise ValueError(f"--max-order must be in 1..{MAX_ENUM_ORDER}, got {args.max_order}")

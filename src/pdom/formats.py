@@ -14,8 +14,9 @@ alone and are numbered from 1; a "\r" before it is blank space, as are the
 other characters that str.splitlines also breaks at. An offset counts
 characters from the first character of the text parse_graph6 was given, or
 of the line read_graph6_lines gave it: leading blanks and the header count.
-parse_graph6 reports the offset, read_graph6_lines adds the line number,
-and parse_edge_list reports the line number alone.
+parse_graph6 reports the offset, read_graph6_lines adds the line number
+(to a VertexCapError too, in front of its message), and parse_edge_list
+reports the line number alone.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def read_graph6_lines(text: str) -> list[Graph]:
             except FormatError as exc:
                 exc.line = lineno
                 raise
+            except VertexCapError as exc:
+                raise VertexCapError(f"line {lineno}: {exc}") from None
     return out
 
 

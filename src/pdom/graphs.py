@@ -244,13 +244,19 @@ def twin_broom_tree() -> Graph:
     return from_edges(11, edges)
 
 
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product; vertex (i, j) of G x H maps to index i*|H| + j."""
-    if g.order == 0 or h.order == 0:
+def _check_product_order(n: int, m: int) -> None:
+    """Reject factor orders n and m whose product cannot be built: an empty
+    factor, or a product over the vertex cap."""
+    if n == 0 or m == 0:
         raise ValueError("product factors must be nonempty")
-    n, m = g.order, h.order
     if n * m > MAX_VERTICES:
         raise VertexCapError(f"product order {n * m} exceeds the cap of {MAX_VERTICES}")
+
+
+def cartesian_product(g: Graph, h: Graph) -> Graph:
+    """Cartesian product; vertex (i, j) of G x H maps to index i*|H| + j."""
+    n, m = g.order, h.order
+    _check_product_order(n, m)
     # spread[i]: vertex (k, 0) for each neighbour k of i in G. Row (i, j) is
     # (i, j') for the neighbours j' of j in H and (k, j) for those k of i in G.
     spread = [sum(1 << k * m for k in members(row)) for row in g.adj]

@@ -383,6 +383,48 @@ def test_scan_rejects_file_without_graphs(tmp_path, capsys, text):
     assert captured.err == f"error: {listing} holds 0 graphs; expected at least one\n"
 
 
+@pytest.mark.parametrize("p", ["1/1", "1/2"])
+def test_scan_checks_the_product_cap_on_certified_pairs(tmp_path, capsys, p):
+    # path(9) and star(8): at 1/1 both factors certify every pair, so no
+    # product is built, yet the first pair's product has 81 vertices.
+    listing = tmp_path / "big.g6"
+    listing.write_text("HhCGGC@\nHsaCCA?\n")
+    assert main(["scan", "--graphs", str(listing), "--p", p]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: product order 81 exceeds the cap of 64\n"
+
+
+@pytest.mark.parametrize("p", ["1/1", "1/2"])
+def test_scan_rejects_order_zero_graph(tmp_path, capsys, p):
+    listing = tmp_path / "zero.g6"
+    listing.write_text("\nA_\n?\n")
+    assert main(["scan", "--graphs", str(listing), "--p", p]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {listing}, line 3: a scan factor needs at least one vertex, got order 0\n"
+
+
+def test_scan_names_the_line_over_the_vertex_cap(tmp_path, capsys):
+    listing = tmp_path / "cap.g6"
+    listing.write_text("A_\n~?@A\n")
+    assert main(["scan", "--graphs", str(listing), "--p", "1/2"]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: order 66 exceeds the cap of 64\n"
+
+
+def test_scan_full_domination_order_five_golden(capsys):
+    # Most of these pairs are certified by a 2-packing and never built. The
+    # same golden is diffed in .github/workflows/smoke.yml.
+    assert main(["scan", "--max-order", "5", "--p", "1/1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "# g6_g g6_h p gp_g gp_h gp_prod holds",
+        "# family=connected",
+        "pairs=496, failures=0",
+    ]
+
+
 def test_scan_order_out_of_range(capsys):
     for order in ["9", "0"]:
         assert main(["scan", "--max-order", order, "--p", "1/2"]) == EXIT_PARSE

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -23,7 +24,7 @@ from pdom.domination import is_p_dominating, partial_domination_number
 from pdom.formats import parse_graph6, write_graph6
 from pdom.graphs import Graph, VertexCapError, cartesian_product, complete, mask_of, path, subdivided_star
 
-from brute import brute_canonical, brute_connected, brute_gamma
+from brute import brute_canonical, brute_connected, brute_gamma, neighbor_sets, random_graph
 from strategies import SEEDED, small_graphs
 
 HALF = Fraction(1, 2)
@@ -260,10 +261,82 @@ def test_scan_finds_no_failures_on_small_connected_orders(max_order, expected_pa
     assert outcome.failures == ()
 
 
-@pytest.mark.parametrize("max_order,expected_pairs", [(3, 10), (4, 55)])
+@pytest.mark.parametrize("max_order,expected_pairs", [(3, 10), (4, 55), (5, 496)])
 def test_scan_holds_for_full_domination_too(max_order, expected_pairs):
     outcome = scan_conjecture(1, enumerate_graphs(max_order))
     assert (outcome.pairs, outcome.failures) == (expected_pairs, ())
+
+
+def _assert_two_packing(g: Graph, packing: int) -> None:
+    """The closed neighbourhoods of the packing's vertices are pairwise disjoint."""
+    closed = [nbrs | {v} for v, nbrs in enumerate(neighbor_sets(g))]
+    chosen = [v for v in range(g.order) if packing >> v & 1]
+    for u, v in combinations(chosen, 2):
+        assert not closed[u] & closed[v], (g.adj, packing)
+
+
+def _certified(g: Graph) -> bool:
+    return pdom.conjecture._packing(g).bit_count() >= partial_domination_number(g, 1).size
+
+
+def test_packing_is_a_two_packing_on_connected_graphs(graphs_upto_7):
+    connected = [g for g in graphs_upto_7 if brute_connected(g)]
+    assert len(connected) == 996
+    for g in connected:
+        _assert_two_packing(g, pdom.conjecture._packing(g))
+    # rho = gamma on 733 of them, and the greedy reaches gamma on each.
+    assert sum(map(_certified, connected)) == 733
+
+
+@SEEDED
+@given(small_graphs())
+def test_packing_is_a_two_packing(g):
+    packing = pdom.conjecture._packing(g)
+    _assert_two_packing(g, packing)
+    assert g.closed_neighborhood_of_set(g.closed_neighborhood_of_set(packing)) == g.full_mask  # maximal
+    assert packing.bit_count() <= brute_gamma(g, Fraction(1))  # rho <= gamma
+
+
+def test_certified_pairs_pass_the_exact_solve(connected_upto_5):
+    certified = [_certified(g) for g in connected_upto_5]
+    count = 0
+    for i, g in enumerate(connected_upto_5):
+        for j in range(i, len(connected_upto_5)):
+            if certified[i] or certified[j]:
+                assert check_product_inequality(g, connected_upto_5[j], 1).holds
+                count += 1
+    assert count == 481
+
+
+def test_packing_bound_against_the_brute_oracle():
+    # gamma(G x H) >= rho(G) gamma(H) >= |packing(G)| gamma(H), all three by brute force.
+    rng = random.Random(20)
+    one = Fraction(1)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        m = rng.randint(1, 16 // n)
+        g, h = random_graph(rng, n, rng.random()), random_graph(rng, m, rng.random())
+        bound = pdom.conjecture._packing(g).bit_count() * brute_gamma(h, one)
+        assert brute_gamma(cartesian_product(g, h), one) >= bound, (g.adj, h.adj)
+
+
+@pytest.mark.parametrize("p,built", [(Fraction(24, 25), 496), (Fraction(1), 15)], ids=["24/25", "1/1"])
+def test_certificate_only_at_full_domination(monkeypatch, p, built):
+    # At 24/25 every factor of order <= 5 has target n, but an order-25
+    # product has target 24: each pair is still built and solved.
+    calls = []
+    product = pdom.conjecture.cartesian_product
+    monkeypatch.setattr(pdom.conjecture, "cartesian_product", lambda g, h: calls.append(1) or product(g, h))
+    outcome = scan_conjecture(p, enumerate_graphs(5))
+    assert (outcome.pairs, outcome.failures, len(calls)) == (496, (), built)
+
+
+def test_certified_pairs_still_meet_the_product_checks():
+    # Every pair is certified at p = 1, yet the errors come as without it.
+    with pytest.raises(VertexCapError, match="^product order 81 exceeds the cap of 64$"):
+        scan_conjecture(1, [path(9), path(2)])
+    with pytest.raises(ValueError, match="^product factors must be nonempty$"):
+        scan_conjecture(1, [Graph(()), path(2)])
 
 
 def test_scan_with_disconnected_graphs():

@@ -205,6 +205,10 @@ def test_read_graph6_lines_reports_line_numbers():
     with pytest.raises(FormatError) as err:
         read_graph6_lines("A_\nA\n")
     assert err.value.line == 2
+    with pytest.raises(VertexCapError, match=r"^line 2: order 66 exceeds the cap of 64$"):
+        read_graph6_lines("A_\n~?@A\n")
+    with pytest.raises(VertexCapError, match=r"^line 3: order beyond 64 "):
+        read_graph6_lines("A_\n\n~~\n")
 
 
 @pytest.mark.parametrize("blank", ["\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"],

@@ -2,8 +2,9 @@
 
 The claim under test: the half (or general p) domination number of a
 Cartesian product is at least the product of the factors' numbers. One
-product check, `_product_report`, makes that comparison both for the scan
-over a family and for `check_product_inequality` on a single pair. Factor
+product check, `_solve_product`, makes that comparison both for the scan
+over a family and for `check_product_inequality` on a single pair; the
+scan builds a report for the failing pairs only. Factor
 graphs come from an orderly enumeration of simple graphs up to isomorphism
 (R. C. Read, "Every one a winner", 1978; B. D. McKay, "Isomorph-free
 exhaustive generation", 1998). A class is represented by its least edge
@@ -226,20 +227,12 @@ def _packing(g: Graph) -> int:
     return packing
 
 
-def _product_report(g: Graph, h: Graph, p: Fraction, gp_g: int, gp_h: int, g6_g: str, g6_h: str) -> ScanReport:
-    """Solve gamma_p on the product of g and h and compare it with gp_g * gp_h."""
+def _solve_product(g: Graph, h: Graph, p: Fraction, gp_g: int, gp_h: int) -> tuple[int, int | None]:
+    """Solve gamma_p on the product of g and h and compare it with gp_g * gp_h:
+    the product's value, and its minimum set when the inequality fails, else
+    None."""
     result = partial_domination_number(cartesian_product(g, h), p)
-    holds = result.size >= gp_g * gp_h
-    return ScanReport(
-        g6_g=g6_g,
-        g6_h=g6_h,
-        p=p,
-        gp_g=gp_g,
-        gp_h=gp_h,
-        gp_product=result.size,
-        holds=holds,
-        witness=None if holds else result.witness,
-    )
+    return result.size, None if result.size >= gp_g * gp_h else result.witness
 
 
 def check_product_inequality(g: Graph, h: Graph, p: Fraction | int) -> ScanReport:
@@ -248,7 +241,9 @@ def check_product_inequality(g: Graph, h: Graph, p: Fraction | int) -> ScanRepor
     p = as_proportion(p)
     gp_g = partial_domination_number(g, p).size
     gp_h = partial_domination_number(h, p).size
-    return _product_report(g, h, p, gp_g, gp_h, write_graph6(g), write_graph6(h))
+    size, witness = _solve_product(g, h, p, gp_g, gp_h)
+    return ScanReport(g6_g=write_graph6(g), g6_h=write_graph6(h), p=p, gp_g=gp_g, gp_h=gp_h,
+                      gp_product=size, holds=witness is None, witness=witness)
 
 
 def scan_conjecture(p: Fraction | int, graphs: Iterable[Graph]) -> ScanOutcome:
@@ -276,7 +271,8 @@ def scan_conjecture(p: Fraction | int, graphs: Iterable[Graph]) -> ScanOutcome:
             if certified[i] or certified[j]:
                 _check_product_order(g.order, h.order)  # what building the product would raise
                 continue
-            report = _product_report(g, h, p, values[i], values[j], g6_g, g6_h)
-            if not report.holds:
-                failures.append(report)
+            size, witness = _solve_product(g, h, p, values[i], values[j])
+            if witness is not None:
+                failures.append(ScanReport(g6_g=g6_g, g6_h=g6_h, p=p, gp_g=values[i], gp_h=values[j],
+                                           gp_product=size, holds=False, witness=witness))
     return ScanOutcome(pairs=pairs, failures=tuple(failures))

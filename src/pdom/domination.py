@@ -145,7 +145,7 @@ def as_proportion(value: Fraction | int) -> Fraction:
     if not isinstance(value, Rational):
         raise TypeError(f"proportion must be an int or Fraction, not {type(value).__name__} {value!r}")
     p = Fraction(value)
-    if p < 0 or p > 1:
+    if not 0 <= p.numerator <= p.denominator:
         raise ValueError(f"proportion {p} outside [0, 1]")
     return p
 

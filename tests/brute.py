@@ -11,7 +11,26 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from pdom.graphs import Graph, from_edges
+from pdom.graphs import MAX_VERTICES, Graph, VertexCapError, from_edges
+
+
+def brute_adjacency_error(adj: tuple[int, ...]) -> tuple[type, str] | None:
+    """The exception type and message Graph(adj) should raise, or None. Rows
+    are checked in vertex order, each for range, then a self-loop, then each
+    neighbour upward for its partner, before the next row."""
+    n = len(adj)
+    if n > MAX_VERTICES:
+        return VertexCapError, f"order {n} exceeds the cap of {MAX_VERTICES}"
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            return ValueError, f"neighborhood of vertex {v} mentions vertices >= {n}"
+        if row >> v & 1:
+            return ValueError, f"self-loop at vertex {v}"
+        for u in range(n):
+            if row >> u & 1 and not adj[u] >> v & 1:
+                return ValueError, f"asymmetric adjacency between {u} and {v}"
+    return None
 
 
 def neighbor_sets(g: Graph) -> list[set[int]]:

@@ -453,6 +453,19 @@ def test_product_graph6_long_header(capsys):
     )
 
 
+@pytest.mark.parametrize("argv,golden", [
+    # order 9, the first packed at width 16 when Graph checks its adjacency
+    (["--gen", "path:3", "--gen2", "path:3"], "HkSg_SD"),
+    # order 33, width 64
+    (["--gen", "cycle:3", "--gen2", "path:11"],
+     "`hCGGC@?G?o?O@G?a?GO@@?CA?GA?G@?C?O@?A?K?G?G?O@G?O@C?G?`?A?GG?O@?_@?C@?A?G@?A?G?_@?C?G?O@"),
+], ids=["P3xP3", "C3xP11"])
+def test_product_graph6_at_packing_widths(capsys, argv, golden):
+    # The same goldens are diffed in .github/workflows/smoke.yml.
+    assert main(["product", *argv]) == EXIT_OK
+    assert capsys.readouterr().out == golden + "\n"
+
+
 def test_product_dot(capsys):
     assert main(["product", "--gen", "path:2", "--gen2", "path:3", "--dot"]) == EXIT_OK
     assert capsys.readouterr().out == (

@@ -254,6 +254,21 @@ def test_failure_record_carries_witness():
     assert REPORT_HEADER.split()[1:] == ["g6_g", "g6_h", "p", "gp_g", "gp_h", "gp_prod", "holds"]
 
 
+def test_scan_failure_records_match_the_single_pair_check():
+    # The scan builds a report for its failing pairs only; each is the one
+    # check_product_inequality gives for that pair.
+    p = Fraction(4, 5)
+    graphs = {write_graph6(g): g for g in enumerate_graphs(5)}
+    failures = scan_conjecture(p, graphs.values()).failures
+    assert [r.record() for r in failures[:2]] == [
+        "C] C] 4/5 2 2 3 false witness={0,1,6}",
+        "C] Ck 4/5 2 2 3 false witness={0,2,5}",
+    ]
+    for report in failures:
+        single = check_product_inequality(graphs[report.g6_g], graphs[report.g6_h], p)
+        assert report == single and report.record() == single.record()
+
+
 @pytest.mark.parametrize("max_order,expected_pairs", [(3, 10), (4, 55), (5, 496)])
 def test_scan_finds_no_failures_on_small_connected_orders(max_order, expected_pairs):
     outcome = scan_conjecture(HALF, enumerate_graphs(max_order))

@@ -14,6 +14,7 @@ from pdom.domination import (
     _breadth_first,
     _minimum_covers,
     all_minimum_sets,
+    as_proportion,
     coverage_target,
     influencing_intersection,
     influencing_set,
@@ -79,11 +80,30 @@ def test_coverage_target_rejects_bad_input():
         coverage_target(-1, HALF)
 
 
+@pytest.mark.parametrize("value", [0, 1, True, Fraction(1)])
+def test_proportion_bounds_are_inclusive(value):
+    p = as_proportion(value)
+    assert type(p) is Fraction and p == value
+
+
+@pytest.mark.parametrize("value,text", [
+    (-Fraction(1, 10**30), "-1/1000000000000000000000000000000"),
+    (1 + Fraction(1, 10**30), "1000000000000000000000000000001/1000000000000000000000000000000"),
+    (-1, "-1"),
+    (2, "2"),
+])
+def test_proportion_just_outside_the_bounds_rejected(value, text):
+    with pytest.raises(ValueError, match=rf"^proportion {text} outside \[0, 1\]$"):
+        as_proportion(value)
+
+
 @pytest.mark.parametrize("p", [0.1, 0.5])
 def test_float_proportions_rejected(p):
     # A float converts exactly: 0.1 lies just above 1/10, so it would ask
     # for 2 of 10 vertices where 1/10 asks for 1.
     g = from_edges(10, [])
+    with pytest.raises(TypeError, match="Fraction"):
+        as_proportion(p)
     with pytest.raises(TypeError, match="Fraction"):
         coverage_target(10, p)
     with pytest.raises(TypeError, match="Fraction"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 
@@ -29,7 +30,7 @@ from pdom.graphs import (
     twin_hub_graph,
 )
 
-from brute import random_graph
+from brute import brute_adjacency_error, random_graph
 from strategies import SEEDED
 
 
@@ -71,6 +72,8 @@ def test_construction_rejects_bad_adjacency():
         Graph((0b100, 0b000))  # neighbor out of range
     with pytest.raises(VertexCapError):
         Graph((0,) * (MAX_VERTICES + 1))
+    with pytest.raises(TypeError):
+        Graph((0.0,))  # a row is an int mask
     with pytest.raises(VertexCapError):
         from_edges(MAX_VERTICES + 1, [])
 
@@ -91,6 +94,59 @@ def test_one_pass_validation_reports_the_first_faulty_row():
     adj = (mask_of([1]), 0, mask_of([2]))
     with pytest.raises(ValueError, match=r"^asymmetric adjacency between 1 and 0$"):
         Graph(adj)
+
+
+def _construction_error(adj: tuple[int, ...]) -> tuple[type, str] | None:
+    try:
+        g = Graph(adj)
+    except ValueError as error:
+        return type(error), str(error)
+    assert g.adj == adj
+    return None
+
+
+def test_validation_matches_the_row_loop_on_every_small_matrix():
+    for n in range(4):
+        for adj in itertools.product(range(1 << n), repeat=n):
+            assert _construction_error(adj) == brute_adjacency_error(adj), adj
+
+
+def _mutant(rng: random.Random, n: int) -> tuple[int, ...]:
+    """A random simple graph of order n with up to three of its rows broken."""
+    adj = list(random_graph(rng, n, rng.random()).adj)
+    width = next(w for w in (8, 16, 32, 64) if w >= n)
+    for _ in range(rng.randint(0, 3) if n else 0):
+        v, u = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(7)
+        if kind == 0:  # flip one bit: a one-sided edge or a self-loop
+            adj[v] ^= 1 << u
+        elif kind == 1:
+            adj[v] |= 1 << n
+        elif kind == 2:
+            adj[v] |= 1 << width
+        elif kind == 3:
+            adj[v] |= 1 << rng.randrange(64, 130)
+        elif kind == 4:
+            adj[v] = rng.choice((-1, ~adj[v], adj[v] - (1 << 64), -(1 << rng.randrange(n + 1))))
+        elif kind == 5:
+            adj[v] |= 1 << v
+        else:  # an edge written in one row only
+            adj[v] |= 1 << u
+            adj[u] &= ~(1 << v)
+    return tuple(adj)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
+def test_validation_matches_the_row_loop_on_mutants(n):
+    rng = random.Random(n)
+    valid = 0
+    for _ in range(300):
+        adj = _mutant(rng, n) if n <= MAX_VERTICES else tuple(rng.getrandbits(n) for _ in range(n))
+        expected = brute_adjacency_error(adj)
+        valid += expected is None
+        assert _construction_error(adj) == expected, adj
+    if 0 < n <= MAX_VERTICES:
+        assert 0 < valid < 300  # both outcomes were exercised
 
 
 def test_from_edges_validation():
@@ -252,21 +308,36 @@ def test_product_linearization_is_row_major():
     assert g.adj == expected.adj
 
 
+def _networkx_product(g: Graph, h: Graph) -> tuple[int, ...]:
+    """networkx's product of g and h, relabelled row-major ((i, j) -> i*|H| + j)."""
+    a, b = nx.empty_graph(g.order), nx.empty_graph(h.order)
+    a.add_edges_from(g.edges())
+    b.add_edges_from(h.edges())
+    m = h.order
+    oracle = nx.relabel_nodes(nx.cartesian_product(a, b), lambda v: v[0] * m + v[1])
+    return tuple(mask_of(oracle.neighbors(v)) for v in range(g.order * m))
+
+
 def test_product_matches_networkx():
-    # networkx's product, relabelled row-major ((i, j) -> i*|H| + j), on every
-    # ordered pair of graphs of order <= 4, disconnected ones included.
+    # Every ordered pair of graphs of order <= 4, disconnected ones included.
     graphs = list(enumerate_graphs(4, connected=False))
     assert len(graphs) == 18
-    pairs = []
     for g in graphs:
-        x = nx.empty_graph(g.order)
-        x.add_edges_from(g.edges())
-        pairs.append((g, x))
-    for g, a in pairs:
-        for h, b in pairs:
-            m = h.order
-            oracle = nx.relabel_nodes(nx.cartesian_product(a, b), lambda v: v[0] * m + v[1])
-            assert cartesian_product(g, h).adj == tuple(mask_of(oracle.neighbors(v)) for v in range(g.order * m))
+        for h in graphs:
+            assert cartesian_product(g, h).adj == _networkx_product(g, h)
+
+
+@pytest.mark.parametrize("g,h", [
+    (path(3), path(3)),  # order 9, the first packed at width 16
+    (path(4), path(4)),  # 16
+    (path(17), path(1)),  # 17, width 32
+    (cycle(3), path(11)),  # 33, width 64
+    (path(64), path(1)),
+    (path(1), path(64)),
+    (complete(8), complete(8)),
+], ids=["P3xP3", "P4xP4", "P17xP1", "C3xP11", "P64xP1", "P1xP64", "K8xK8"])
+def test_product_matches_networkx_at_each_packing_width(g, h):
+    assert cartesian_product(g, h).adj == _networkx_product(g, h)
 
 
 def test_prism_is_cubic():

@@ -20,7 +20,7 @@ from .domination import (
     influencing_sweep,
     partial_domination_number,
 )
-from .formats import FormatError, parse_edge_list, parse_graph6, read_graph6_lines, write_dot, write_graph6
+from .formats import parse_edge_list, parse_graph6, read_graph6_lines, write_dot, write_graph6
 from .graphs import (
     Graph,
     VertexCapError,
@@ -240,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except VertexCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (FormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

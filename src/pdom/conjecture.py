@@ -158,18 +158,17 @@ def enumerate_graphs(max_order: int, *, connected: bool = True) -> Iterator[Grap
     orders and smallest canonical edge masks first."""
     if not 1 <= max_order <= MAX_ENUM_ORDER:
         raise ValueError(f"max_order must be in 1..{MAX_ENUM_ORDER}, got {max_order}")
-    level = [((0,), [])]  # the canonical graphs of order n, by ascending edge mask, with their automorphisms
+    level = [((), [])]  # the canonical graphs of one order, from 0 up, by ascending edge mask, with their automorphisms
     for n in range(1, max_order + 1):
-        if n > 1:
-            children = []
-            for parent, gens in level:
-                for s in _orbit_minima(n - 1, gens):
-                    # the new vertex 0 joins parent vertex v, now v + 1, when bit v of s is set
-                    child = (s << 1,) + tuple(row << 1 | s >> v & 1 for v, row in enumerate(parent))
-                    found = []
-                    if not _beaten(child, found):
-                        children.append((child, found))
-            level = children
+        children = []
+        for parent, gens in level:
+            for s in _orbit_minima(n - 1, gens):
+                # the new vertex 0 joins parent vertex v, now v + 1, when bit v of s is set
+                child = (s << 1,) + tuple(row << 1 | s >> v & 1 for v, row in enumerate(parent))
+                found = []
+                if not _beaten(child, found):
+                    children.append((child, found))
+        level = children
         for adj, _ in level:
             g = Graph(adj)
             if connected:

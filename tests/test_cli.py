@@ -415,8 +415,7 @@ def test_scan_names_the_line_over_the_vertex_cap(tmp_path, capsys):
 
 
 def test_scan_full_domination_order_five_golden(capsys):
-    # Most of these pairs are certified by a 2-packing and never built. The
-    # same golden is diffed in .github/workflows/smoke.yml.
+    # Most of these pairs are certified by a 2-packing and never built.
     assert main(["scan", "--max-order", "5", "--p", "1/1"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == [
         "# g6_g g6_h p gp_g gp_h gp_prod holds",
@@ -441,8 +440,7 @@ def test_product_graph6(capsys):
 
 
 def test_product_graph6_long_header(capsys):
-    # 64 vertices: the order takes the four-character "~" form. The same
-    # golden is diffed in .github/workflows/smoke.yml.
+    # 64 vertices: the order takes the four-character "~" form.
     assert main(["product", "--gen", "path:8", "--gen2", "path:8"]) == EXIT_OK
     assert capsys.readouterr().out == (
         "~?@?hCGGE?OH?a@A@@?_OGA@?G??OG?OG?GC?A@??OG?@?_?A@??A???@?_??OG??A@???"
@@ -461,7 +459,7 @@ def test_product_graph6_long_header(capsys):
      "`hCGGC@?G?o?O@G?a?GO@@?CA?GA?G@?C?O@?A?K?G?G?O@G?O@C?G?`?A?GG?O@?_@?C@?A?G@?A?G?_@?C?G?O@"),
 ], ids=["P3xP3", "C3xP11"])
 def test_product_graph6_at_packing_widths(capsys, argv, golden):
-    # The same goldens are diffed in .github/workflows/smoke.yml.
+    # CI runs these on each Python from 3.10 to 3.13, so every version packs rows with struct.
     assert main(["product", *argv]) == EXIT_OK
     assert capsys.readouterr().out == golden + "\n"
 
@@ -519,7 +517,7 @@ def test_file_input_networkx_graph6(tmp_path, capsys):
 
 
 def test_file_input_headed_graph6_golden(tmp_path, capsys):
-    # The headed one-line file that .github/workflows/smoke.yml reads.
+    # One graph after the optional ">>graph6<<" header, as networkx writes it.
     listing = tmp_path / "headed.g6"
     listing.write_text(">>graph6<<Ch\n")
     assert main(["gamma", "--file", str(listing), "--p", "1/2"]) == EXIT_OK
@@ -528,6 +526,16 @@ def test_file_input_headed_graph6_golden(tmp_path, capsys):
         "witness = {0}\n"
         "covered = 2 of 4 (target 2)\n"
     )
+
+
+def test_file_input_bad_graph6_character_golden(tmp_path, capsys):
+    # Positions as written: the "!" is at offset 3 of line 1, blanks included.
+    listing = tmp_path / "bad.g6"
+    listing.write_text("  A!\n")
+    assert main(["gamma", "--file", str(listing), "--p", "1/2"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1, offset 3: character '!' outside the graph6 range\n"
 
 
 def test_file_with_multiple_graphs_rejected(tmp_path, capsys):

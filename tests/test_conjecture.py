@@ -118,7 +118,7 @@ def test_enumeration_search_size_is_pinned():
     finally:
         sys.setprofile(None)
     assert graphs == 1252
-    assert calls == {"_beaten": 5758, "place": 143064}
+    assert calls == {"_beaten": 5759, "place": 143065}
 
 
 def test_orbit_filter_keeps_exactly_the_orbit_minima(monkeypatch):
@@ -136,6 +136,7 @@ def test_orbit_filter_keeps_exactly_the_orbit_minima(monkeypatch):
     monkeypatch.setattr(pdom.conjecture, "_beaten", record)
     parents = [g for g in enumerate_graphs(6, connected=False) if g.order <= 5]
     assert len(parents) == 52
+    assert tried[()] == {0}  # the single vertex grows from the order-0 graph
     for g in parents:
         n = g.order
         edges = set(g.edges())
@@ -144,7 +145,7 @@ def test_orbit_filter_keeps_exactly_the_orbit_minima(monkeypatch):
         minima = {s for s in range(1 << n)
                   if all(sum(1 << perm[v] for v in range(n) if s >> v & 1) >= s for perm in group)}
         assert tried[g.adj] == minima, write_graph6(g)
-    assert len(tried) == len(parents)
+    assert len(tried) == len(parents) + 1
 
 
 def test_generators_are_distinct_and_never_the_identity(monkeypatch):
@@ -161,7 +162,7 @@ def test_generators_are_distinct_and_never_the_identity(monkeypatch):
 
     monkeypatch.setattr(pdom.conjecture, "_beaten", record)
     assert sum(1 for _ in enumerate_graphs(7, connected=False)) == 1252
-    assert len(kept) == 1251  # every graph but the single vertex is a child
+    assert len(kept) == 1252  # every graph is a child, the single vertex of the order-0 graph
     for adj, found in kept:
         n = len(adj)
         assert bytes(range(n)) not in found, adj

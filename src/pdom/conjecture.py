@@ -23,7 +23,21 @@ from each other) fixes the rest of the graph, so each position tries one
 vertex per twin class. An automorphism sigma of h with sigma(s) < s gives
 the child the smaller mask h << (n-1) | sigma(s), so only the s that are
 least in their orbit, under the automorphisms the parent's own test met
-and its twin swaps, are tested. MAX_ENUM_ORDER caps the order at 7.
+and its twin swaps, are tested.
+
+Most children that reach the minimality test fail it, and a degree census
+rejects most of those first. The census of a graph is the sum of
+16**deg(u) over its vertices, an isomorphism invariant; with fewer than 16
+vertices each 4-bit field holds the count of one degree, so it is the
+degree sequence. Let the child be h << (n-1) | s, with h of rank r in the
+previous order, whose graphs are all listed in ascending mask order. If
+deleting a vertex v of the child leaves a census that only graphs of rank
+below r have, child - v is isomorphic to one of them, so its canonical
+mask is below h. Putting v at position 0 and child - v in its canonical
+labelling above it gives the mask canon(child - v) << (n-1) | s', below
+h << (n-1) and so below the child's: the child is not canonical. The test
+keeps, per census, the highest rank that has it. MAX_ENUM_ORDER caps the
+order at 7.
 
 At p = 1 the scan settles most pairs without building the product. A
 2-packing of G is a set of vertices pairwise at distance at least 3, so
@@ -126,6 +140,27 @@ def _beaten(adj: tuple[int, ...], found: list[bytes]) -> bool:
     return place(n - 1, (1 << n) - 1, [0] * n)
 
 
+def _outranked(adj: tuple[int, ...], rank: int, top: dict[int, int]) -> bool:
+    """Does deleting some vertex v >= 1 of adj leave a degree census that
+    only graphs ranked below rank in the previous order have? Then adj is
+    not canonical (see enumerate_graphs). Deleting vertex 0 leaves the
+    parent, so it is never checked. Deleting v takes its term off the
+    census and moves each neighbour's term one field down."""
+    terms = [1 << 4 * row.bit_count() for row in adj]
+    total = sum(terms)
+    for v in range(1, len(adj)):
+        census = total - terms[v]
+        u = adj[v]
+        while u:
+            low = u & -u
+            term = terms[low.bit_length() - 1]
+            census -= term - (term >> 4)
+            u ^= low
+        if top[census] < rank:
+            return True
+    return False
+
+
 def _orbit_minima(order: int, gens: list[bytes]) -> Iterator[int]:
     """Ascending, each vertex set of a graph of this order that is the least
     of its orbit under the group gens generate."""
@@ -155,16 +190,26 @@ def _orbit_minima(order: int, gens: list[bytes]) -> Iterator[int]:
 
 def enumerate_graphs(max_order: int, *, connected: bool = True) -> Iterator[Graph]:
     """All graphs up to isomorphism with 1..max_order vertices, smallest
-    orders and smallest canonical edge masks first."""
+    orders and smallest canonical edge masks first.
+
+    Each order is grown from the complete list of the order below it. A
+    child of the parent at rank r is dropped unseen by _beaten when
+    deleting one of its vertices leaves a census (the sum of 16**deg) that
+    no graph of rank >= r has: that vertex at position 0, with the rest in
+    its canonical labelling above it, gives a smaller mask. top maps each
+    census of the order below to the highest rank that has it."""
     if not 1 <= max_order <= MAX_ENUM_ORDER:
         raise ValueError(f"max_order must be in 1..{MAX_ENUM_ORDER}, got {max_order}")
     level = [((), [])]  # the canonical graphs of one order, from 0 up, by ascending edge mask, with their automorphisms
     for n in range(1, max_order + 1):
+        top = {sum(1 << 4 * row.bit_count() for row in parent): rank for rank, (parent, _) in enumerate(level)}
         children = []
-        for parent, gens in level:
+        for rank, (parent, gens) in enumerate(level):
             for s in _orbit_minima(n - 1, gens):
                 # the new vertex 0 joins parent vertex v, now v + 1, when bit v of s is set
                 child = (s << 1,) + tuple(row << 1 | s >> v & 1 for v, row in enumerate(parent))
+                if _outranked(child, rank, top):
+                    continue
                 found = []
                 if not _beaten(child, found):
                     children.append((child, found))

@@ -21,6 +21,8 @@ reports the line number alone.
 
 from __future__ import annotations
 
+import re
+
 from .graphs import MAX_VERTICES, Graph, VertexCapError, from_edges
 
 
@@ -121,6 +123,14 @@ def read_graph6_lines(text: str) -> list[Graph]:
     return out
 
 
+def _decimal(token: str) -> int:
+    """int(token) for ASCII decimal digits after an optional minus sign;
+    int() alone also takes "+5", "1_0" and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text: one ``u v`` pair per line, 0-indexed vertices,
     with an optional leading ``n <order>`` line. Without the header the order
@@ -135,7 +145,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 2:
                 raise FormatError("order header must be exactly 'n <count>'", line=lineno)
             try:
-                declared = int(tokens[1])
+                declared = _decimal(tokens[1])
             except ValueError:
                 raise FormatError(f"order {tokens[1]!r} is not an integer", line=lineno) from None
             if declared < 0:
@@ -144,7 +154,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(tokens) != 2:
             raise FormatError(f"expected 'u v', got {len(tokens)} tokens", line=lineno)
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _decimal(tokens[0]), _decimal(tokens[1])
         except ValueError:
             raise FormatError(f"non-integer endpoint in {raw.strip()!r}", line=lineno) from None
         if u < 0 or v < 0:

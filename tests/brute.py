@@ -114,6 +114,18 @@ def brute_canonical(g: Graph) -> tuple[tuple[int, int], ...]:
     return best if best is not None else ()
 
 
+def brute_edge_mask(g: Graph, perm) -> int:
+    """The edge mask of g relabelled by perm: the pair (a, b), a < b, sets
+    the bit whose index is the pair's rank in lexicographic order."""
+    rank = {pair: i for i, pair in enumerate(combinations(range(g.order), 2))}
+    return sum(1 << rank[tuple(sorted((perm[u], perm[v])))] for u, v in g.edges())
+
+
+def brute_least_mask(g: Graph) -> int:
+    """The least edge mask over all relabellings of g."""
+    return min(brute_edge_mask(g, perm) for perm in permutations(range(g.order)))
+
+
 def random_graph(rng: random.Random, n: int, edge_probability: float = 0.5) -> Graph:
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < edge_probability]
     return from_edges(n, edges)

@@ -538,6 +538,21 @@ def test_file_input_bad_graph6_character_golden(tmp_path, capsys):
     assert captured.err == "error: line 1, offset 3: character '!' outside the graph6 range\n"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0 1\n1_0 2\n", "line 2: non-integer endpoint in '1_0 2'"),
+    ("+5 6\n", "line 1: non-integer endpoint in '+5 6'"),
+    ("\u0663 4\n", "line 1: non-integer endpoint in '\u0663 4'"),
+    ("n 1_2\n", "line 1: order '1_2' is not an integer"),
+], ids=["underscore", "plus", "arabic-indic", "header"])
+def test_file_input_edge_list_takes_ascii_digits_only(tmp_path, capsys, text, message):
+    listing = tmp_path / "edges.txt"
+    listing.write_text(text, encoding="utf-8")
+    assert main(["gamma", "--file", str(listing), "--p", "1/2"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_file_with_multiple_graphs_rejected(tmp_path, capsys):
     listing = tmp_path / "two.g6"
     listing.write_text("A_\nA_\n")

@@ -24,7 +24,7 @@ from pdom.domination import is_p_dominating, partial_domination_number
 from pdom.formats import parse_graph6, write_graph6
 from pdom.graphs import Graph, VertexCapError, cartesian_product, complete, mask_of, path, subdivided_star
 
-from brute import brute_canonical, brute_connected, brute_gamma, neighbor_sets, random_graph
+from brute import brute_canonical, brute_connected, brute_edge_mask, brute_gamma, brute_least_mask, neighbor_sets, random_graph
 from strategies import SEEDED, small_graphs
 
 HALF = Fraction(1, 2)
@@ -101,16 +101,21 @@ def test_bench_order7_file_is_the_order_7_enumeration():
 
 
 def test_enumeration_search_size_is_pinned():
-    # Calls of the minimality test and of its nested search, counted with a
-    # profile hook; the outputs stay the same when a pruning stops firing, so
-    # only these counts show it. Without pruning they were 11,290 and 457,830.
+    # Calls of the census test, of the minimality test and of its nested
+    # search, and the children the census rejects, counted with a profile
+    # hook; the outputs stay the same when a pruning stops firing, so only
+    # these counts show it. Without pruning _beaten and place ran 11,290 and
+    # 457,830 times, and without the census 5,759 and 143,065 times.
+    outranked = pdom.conjecture._outranked.__code__
     beaten = pdom.conjecture._beaten.__code__
     place = next(c for c in beaten.co_consts if getattr(c, "co_name", None) == "place")
     calls = Counter()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in (beaten, place):
+        if event == "call" and frame.f_code in (outranked, beaten, place):
             calls[frame.f_code.co_name] += 1
+        elif event == "return" and frame.f_code is outranked and arg:
+            calls["rejected"] += 1
 
     sys.setprofile(profile)
     try:
@@ -118,7 +123,7 @@ def test_enumeration_search_size_is_pinned():
     finally:
         sys.setprofile(None)
     assert graphs == 1252
-    assert calls == {"_beaten": 5759, "place": 143065}
+    assert calls == {"_outranked": 5759, "rejected": 4053, "_beaten": 1706, "place": 81139}
 
 
 def test_orbit_filter_keeps_exactly_the_orbit_minima(monkeypatch):
@@ -127,13 +132,13 @@ def test_orbit_filter_keeps_exactly_the_orbit_minima(monkeypatch):
     # the sets that are least in their orbit under the parent's automorphism
     # group, found by trying every permutation.
     tried = defaultdict(set)
-    beaten = pdom.conjecture._beaten
+    outranked = pdom.conjecture._outranked
 
-    def record(adj, found):
+    def record(adj, rank, top):
         tried[tuple(row >> 1 for row in adj[1:])].add(adj[0] >> 1)
-        return beaten(adj, found)
+        return outranked(adj, rank, top)
 
-    monkeypatch.setattr(pdom.conjecture, "_beaten", record)
+    monkeypatch.setattr(pdom.conjecture, "_outranked", record)
     parents = [g for g in enumerate_graphs(6, connected=False) if g.order <= 5]
     assert len(parents) == 52
     assert tried[()] == {0}  # the single vertex grows from the order-0 graph
@@ -146,6 +151,56 @@ def test_orbit_filter_keeps_exactly_the_orbit_minima(monkeypatch):
                   if all(sum(1 << perm[v] for v in range(n) if s >> v & 1) >= s for perm in group)}
         assert tried[g.adj] == minima, write_graph6(g)
     assert len(tried) == len(parents) + 1
+
+
+def test_census_rejects_only_children_the_minimality_test_rejects(monkeypatch):
+    rejected = []
+    outranked = pdom.conjecture._outranked
+
+    def check(adj, rank, top):
+        if not outranked(adj, rank, top):
+            return False
+        assert pdom.conjecture._beaten(adj, []), adj
+        rejected.append(adj)
+        return True
+
+    monkeypatch.setattr(pdom.conjecture, "_outranked", check)
+    assert sum(1 for _ in enumerate_graphs(7, connected=False)) == 1252
+    assert len(rejected) == 4053
+
+
+def test_kept_children_are_exactly_the_least_masks(monkeypatch):
+    # Every child tested up to order 5 is kept exactly when no relabelling,
+    # of all n! tried by brute force, gives a smaller edge mask.
+    tested = []
+    outranked = pdom.conjecture._outranked
+
+    def record(adj, rank, top):
+        tested.append(Graph(adj))
+        return outranked(adj, rank, top)
+
+    monkeypatch.setattr(pdom.conjecture, "_outranked", record)
+    kept = {g.adj for g in enumerate_graphs(5, connected=False)}
+    least = {g.adj for g in tested if brute_edge_mask(g, range(g.order)) == brute_least_mask(g)}
+    assert len(tested) == len({g.adj for g in tested}) == 119
+    assert kept == least and len(kept) == 52
+
+
+def test_each_order_comes_out_in_ascending_mask_order(graphs_upto_7):
+    # The census test reads a graph's rank in the previous order as the
+    # order of canonical edge masks.
+    masks = defaultdict(list)
+    for g in graphs_upto_7:
+        masks[g.order].append(brute_edge_mask(g, range(g.order)))
+    assert {n: len(m) for n, m in masks.items()} == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+    for m in masks.values():
+        assert all(a < b for a, b in zip(m, m[1:]))
+
+
+def test_census_fields_hold_their_counts():
+    # A census is taken on graphs of at most MAX_ENUM_ORDER - 1 vertices, so
+    # the count in each 4-bit field stays below 16.
+    assert pdom.conjecture.MAX_ENUM_ORDER <= 16
 
 
 def test_generators_are_distinct_and_never_the_identity(monkeypatch):

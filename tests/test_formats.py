@@ -247,6 +247,10 @@ def test_parse_edge_list_basic():
     ("n x", 1),             # bad header
     ("n 3 4", 1),           # header token count
     ("0 -1", 1),            # negative vertex
+    ("0 1\n1_0 2", 2),     # int() takes these four, the format does not
+    ("+5 6", 1),
+    ("\u0663 4", 1),        # ARABIC-INDIC DIGIT THREE
+    ("n 1_2\n0 1", 1),
 ])
 def test_parse_edge_list_errors_carry_line_numbers(text, line):
     with pytest.raises(FormatError) as err:

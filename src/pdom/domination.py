@@ -97,19 +97,31 @@ saves 4-7% of the nodes, and a prototype that took it there ran 7-22%
 slower, so they do not.
 
 Every test that can drop a child runs in its parent's candidate loop,
-before the call, since a Python call costs more than any of the tests: the
-two bounds at the child's first candidate, where they would end its scan at
-once, then, in union mode, the union prune and the per-pick coverage bound,
-and last the packing bound and the memo. A child with one pick left is not
-called either; the parent scans that last pick itself. Roots take none of
-these tests: the size starts at the counting bound, nothing is dead at
-position 0, the union is empty, no memo key has cursor 0, each of their
-children takes the packing test, and the per-pick bound would be met by
-the vertex of largest closed neighborhood. Size 1 is reached only when the
-counting bound is 1, so some vertex covers the target alone; the size loop
-reads those vertices from the table of closed neighborhoods and enters no
-node (in "first" mode the lowest label, since that mode walks label
-order).
+before the call, since a Python call costs more than any of the tests.
+The two bounds at the child's first candidate, where they would end its
+scan at once, come first, coverage then slack, and run as soon as the
+child's covered count is known: the child's chosen set and uncovered set
+are built only for a child that passes them (on P7xP9 at 3/4 in "first"
+mode, 54,975 of the 84,384 children end at the coverage bound). Then come,
+in union mode, the union prune and the per-pick coverage bound, and last
+the packing bound and the memo. A child with one pick left is not called
+either; the parent scans that last pick itself, and the scan's first
+candidate has passed the two bounds already. Roots take none of these
+tests: the size starts at the counting bound, nothing is dead at position
+0, the union is empty, no memo key has cursor 0, each of their children
+takes the packing test, and the per-pick coverage bound would be met by
+the vertex of largest closed neighborhood.
+
+Size 1 is reached only when the counting bound is 1, so some vertex covers
+the target alone, and it enters no node: alone[t] holds the vertices whose
+closed neighborhood has t or more vertices (each vertex at its own size,
+then an OR down from the largest size). Union mode reads alone[target]
+as is; "first" mode takes its lowest label, the first hit since that mode
+walks label order; "all" mode lists its singletons in ascending order,
+which is lex order. The table is built on the first size-1 target of a
+call, not with the other tables: built on every call it made `pdom scan`
+about 8% slower, because a scan's "first"-mode solves almost never reach
+size 1.
 
 Proportions are exact rationals, int or Fraction (a float is rejected:
 0.1 is not 1/10); coverage targets use integer ceiling arithmetic.
@@ -215,7 +227,7 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
     "first" mode found is the lex-least such set; in "union" and "all"
     modes it is the union of all of them, and in "all" mode hits lists
     them in lex order (otherwise hits is empty). Target 0 yields the empty
-    set: (0, 0, [0]). Size 1 is read from the closed-neighborhood table;
+    set: (0, 0, [0]). Size 1 is read from the threshold table alone;
     each larger size runs search from the root, which records the memo
     entries of the children it calls.
     """
@@ -255,26 +267,26 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
             if count + left * best[i] < target or (dead[i] & uncovered).bit_count() > slack:
                 break  # both bounds only tighten as i grows
             child = covered | cl[i]
-            pick = chosen | bit[i]
-            j = i + 1
             child_count = child.bit_count()
+            j = i + 1
+            # The child's two bounds first: most children end here.
+            if child_count + m * best[j] < target or (dead[j] & ~child).bit_count() > slack:
+                continue  # it would stop at its first candidate
             child_uncovered = ~child
-            if m == 1:  # the child's last pick, scanned here
+            if m == 1:  # the child's last pick, scanned here; j passed the bounds above
                 for j in range(j, n):
-                    if child_count + best[j] < target or (dead[j] & child_uncovered).bit_count() > slack:
-                        break
                     if (child | cl[j]).bit_count() >= target:
-                        hit = pick | bit[j]
+                        hit = chosen | bit[i] | bit[j]
                         found |= hit
                         events += 1
                         if first_only:
                             return True
                         if not union:
                             hits.append(hit)
+                    if child_count + best[j + 1] < target or (dead[j + 1] & child_uncovered).bit_count() > slack:
+                        break
                 continue
-            # The child's tests, before any call.
-            if child_count + m * best[j] < target or (dead[j] & child_uncovered).bit_count() > slack:
-                continue  # it would stop at its first candidate
+            pick = chosen | bit[i]
             if union:
                 if not (pick | suffix[j]) & ~found:
                     events += 1  # the hits skipped here may exist, so no failure is recorded above
@@ -311,9 +323,24 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
         return False
 
     k = 0
+    alone: list[int] = []  # alone[t]: the vertices v with |N[v]| >= t; built on first use
     for target in targets:
         if target == 0:
             yield 0, 0, [0]
+            continue
+        k = max(k, -(-target // best[0]))
+        if k == 1:  # the counting bound is 1: some vertex covers the target alone
+            if not alone:
+                alone = [0] * (best[0] + 1)
+                for c, b in zip(cl, bit):
+                    alone[c.bit_count()] |= b
+                for t in range(best[0] - 1, 0, -1):
+                    alone[t] |= alone[t + 1]
+            found = alone[target]
+            if first_only:
+                yield 1, found & -found, []  # the lowest label
+            else:  # in "all" mode the singletons in ascending order, which is lex order
+                yield 1, found, [] if union else [1 << v for v in members(found)]
             continue
         slack = n - target
         hits: list[int] = []
@@ -324,17 +351,8 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
         memo: dict[int, int] = {}
         far: list[int] = []  # the packing bound's table; empty while the bound is off
         events = 0  # hits and union prunes so far
-        for k in range(max(k, -(-target // best[0])), n + 1):
-            if k == 1:  # the counting bound is 1: some vertex covers the target alone
-                for c, b in zip(cl, bit):
-                    if c.bit_count() >= target:
-                        found |= b
-                        if first_only:
-                            break
-                        if not union:
-                            hits.append(b)
-            else:
-                search(0, k, 0, 0)
+        for k in range(k, n + 1):
+            search(0, k, 0, 0)
             if found:
                 break
             if not (slack or far):
@@ -346,7 +364,8 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
         # least vertex at which two sets differ comes first; the key lists
         # the set's bits from vertex 0 up (bytes from the lowest, each with
         # its bits reversed), so that set sorts last.
-        hits.sort(key=lambda h: h.to_bytes(width, "little").translate(_REVERSED), reverse=True)
+        if len(hits) > 1:
+            hits.sort(key=lambda h: h.to_bytes(width, "little").translate(_REVERSED), reverse=True)
         yield k, found, hits
 
 

@@ -14,9 +14,11 @@ alone and are numbered from 1; a "\r" before it is blank space, as are the
 other characters that str.splitlines also breaks at. An offset counts
 characters from the first character of the text parse_graph6 was given, or
 of the line read_graph6_lines gave it: leading blanks and the header count.
-parse_graph6 reports the offset, read_graph6_lines adds the line number
-(to a VertexCapError too, in front of its message), and parse_edge_list
-reports the line number alone.
+parse_graph6 reports the offset, read_graph6_lines adds the line number,
+and parse_edge_list reports the line number alone. Both put the line
+number in front of a VertexCapError's message too; in an edge list the cap
+is hit by an order header over it or, without a header, by the first edge
+with an endpoint of MAX_VERTICES or more.
 """
 
 from __future__ import annotations
@@ -150,6 +152,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise FormatError(f"order {tokens[1]!r} is not an integer", line=lineno) from None
             if declared < 0:
                 raise FormatError(f"negative order {declared}", line=lineno)
+            if declared > MAX_VERTICES:
+                raise VertexCapError(f"line {lineno}: order {declared} exceeds the cap of {MAX_VERTICES}")
             continue
         if len(tokens) != 2:
             raise FormatError(f"expected 'u v', got {len(tokens)} tokens", line=lineno)
@@ -163,6 +167,8 @@ def parse_edge_list(text: str) -> Graph:
             raise FormatError(f"self-loop at vertex {u}", line=lineno)
         if declared is not None and (u >= declared or v >= declared):
             raise FormatError(f"edge ({u}, {v}) out of range for declared order {declared}", line=lineno)
+        if max(u, v) >= MAX_VERTICES:
+            raise VertexCapError(f"line {lineno}: order {max(u, v) + 1} exceeds the cap of {MAX_VERTICES}")
         edges.append((u, v))
     if declared is None:
         if not edges:

@@ -553,6 +553,19 @@ def test_file_input_edge_list_takes_ascii_digits_only(tmp_path, capsys, text, me
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("n 70\n0 1\nx\n", "line 1: order 70 exceeds the cap of 64"),
+    ("0 1\n1 99\n", "line 2: order 100 exceeds the cap of 64"),
+], ids=["header", "edge"])
+def test_file_input_edge_list_names_the_line_over_the_cap(tmp_path, capsys, text, message):
+    listing = tmp_path / "edges.txt"
+    listing.write_text(text)
+    assert main(["gamma", "--file", str(listing), "--p", "1/2"]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_file_with_multiple_graphs_rejected(tmp_path, capsys):
     listing = tmp_path / "two.g6"
     listing.write_text("A_\nA_\n")

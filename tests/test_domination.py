@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdom.conjecture import enumerate_graphs
 from pdom.domination import (
     SetFamily,
     SolveResult,
@@ -44,6 +46,7 @@ from brute import (
     brute_intersection,
     brute_minimum_sets,
     brute_target,
+    neighbor_sets,
     random_graph,
 )
 from strategies import SEEDED, SEEDED_SPARSE, small_graphs, sparse_graphs, spiders, trees
@@ -297,6 +300,45 @@ def test_influencing_intersection():
         influencing_intersection(Graph(()))
 
 
+def test_sweep_and_intersection_match_brute_to_order_6(connected_upto_6):
+    for g in connected_upto_6:
+        n = g.order
+        expected = [brute_influencing(g, Fraction(k, n)) for k in range(1, n + 1)]
+        assert [(p, set(members(found))) for p, found in influencing_sweep(g)] == \
+            [(Fraction(k, n), s) for k, s in enumerate(expected, start=1)]
+        assert set(members(influencing_intersection(g))) == set.intersection(*expected)
+
+
+# sha256 of influencing_intersection's masks over the 996 connected graphs of
+# order <= 7, in enumerate_graphs(7)'s order, as decimal lines joined by
+# newlines; computed before size-1 targets were read from a threshold table.
+SWEEP_7_SHA256 = "430bd7e23e67b58fe99dd88a0832a31ce41db09138afabc3ff7f10923369adab"
+
+
+def test_sweep_to_order_7_is_pinned():
+    masks = [influencing_intersection(g) for g in enumerate_graphs(7)]
+    assert len(masks) == 996
+    assert hashlib.sha256("\n".join(map(str, masks)).encode()).hexdigest() == SWEEP_7_SHA256
+
+
+@SEEDED
+@given(small_graphs())
+def test_size_one_targets_match_brute(g):
+    # Targets one vertex can cover alone, ascending in one kernel call per
+    # mode, so the threshold table built for the first is read by the rest.
+    n = g.order
+    top = max(len(nbrs) + 1 for nbrs in neighbor_sets(g))
+    targets = range(1, top + 1)
+    expected = [brute_minimum_sets(g, Fraction(t, n)) for t in targets]
+    assert all(len(sets[0]) == 1 for sets in expected)
+    union = [mask_of(v for s in sets for v in s) for sets in expected]
+    assert [(k, found) for k, found, _ in _minimum_covers(g, "first", targets)] == \
+        [(1, mask_of(sets[0])) for sets in expected]
+    assert [(k, found, [members(h) for h in hits]) for k, found, hits in _minimum_covers(g, "all", targets)] == \
+        [(1, u, sets) for u, sets in zip(union, expected)]
+    assert [(k, found) for k, found, _ in _minimum_covers(g, "union", targets)] == [(1, u) for u in union]
+
+
 @SEEDED
 @given(small_graphs())
 def test_search_matches_brute(g):
@@ -535,6 +577,13 @@ def test_search_tree_size(call, nodes):
     # Nodes entered on four calls of the kind the benchmark times: a change
     # to a prune or to the candidate order shows here before it shows as time.
     assert _nodes_entered(call) == nodes
+
+
+def test_sweep_search_size_is_pinned():
+    # The sweep benchmark's library call: most targets are answered at size
+    # 1 from the threshold table, so the search enters few nodes.
+    graphs = list(enumerate_graphs(7))
+    assert _nodes_entered(lambda: [influencing_intersection(g) for g in graphs]) == 1365
 
 
 def test_search_tree_size_below_the_packing_number():

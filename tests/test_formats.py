@@ -265,6 +265,26 @@ def test_parse_edge_list_empty_and_cap():
         parse_edge_list("n 70")
 
 
+@pytest.mark.parametrize("text,error,message", [
+    ("n 70\n0 1\nx", VertexCapError, "line 1: order 70 exceeds the cap of 64"),  # before line 3's fault
+    ("0 1\n1 99\n", VertexCapError, "line 2: order 100 exceeds the cap of 64"),
+    ("0 1\n\n63 64\n0 200\n", VertexCapError, "line 3: order 65 exceeds the cap of 64"),  # the first such edge
+    ("n 64\n0 64\n", FormatError, "line 2: edge (0, 64) out of range for declared order 64"),
+], ids=["header", "edge", "first-edge", "under-a-header"])
+def test_parse_edge_list_names_the_line_over_the_cap(text, error, message):
+    # As read_graph6_lines does: the line number in front of the message.
+    with pytest.raises(ValueError) as err:
+        parse_edge_list(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_parse_edge_list_takes_order_64():
+    g = parse_edge_list("0 1\n62 63\n")
+    assert g.order == 64 and list(g.edges()) == [(0, 1), (62, 63)]
+    assert parse_edge_list("n 64\n").order == 64
+
+
 def test_write_dot_golden():
     expected = (
         "graph G {\n"

@@ -20,7 +20,7 @@ from .domination import (
     influencing_sweep,
     partial_domination_number,
 )
-from .formats import parse_edge_list, parse_graph6, read_graph6_lines, write_dot, write_graph6
+from .formats import _decimal, parse_edge_list, parse_graph6, read_graph6_lines, write_dot, write_graph6
 from .graphs import (
     Graph,
     VertexCapError,
@@ -86,10 +86,18 @@ def graph_from_generator(spec: str) -> Graph:
     if len(tokens) != arity:
         raise ValueError(f"generator {name} needs {arity} integer argument(s), got {len(tokens)}")
     try:
-        args = [int(tok) for tok in tokens]
+        args = [_decimal(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"generator arguments must be integers, got {argstr!r}") from None
     return builder(*args)
+
+
+def _order_option(text: str) -> int:
+    """argparse type for --max-order: ASCII digits, as the graph parsers read them."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _add_input_flags(cmd: argparse.ArgumentParser, suffix: str = "") -> None:
@@ -212,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("scan", help="product lower-bound scan over a graph family")
     source = cmd.add_mutually_exclusive_group(required=True)
-    source.add_argument("--max-order", type=int, metavar="N", help="enumerate graphs up to this order")
+    source.add_argument("--max-order", type=_order_option, metavar="N", help="enumerate graphs up to this order")
     source.add_argument("--graphs", metavar="PATH", help="graph6 file, one graph per line")
     cmd.add_argument("--include-disconnected", action="store_true", help="enumerate disconnected graphs too")
     cmd.add_argument("--p", required=True, metavar="NUM/DEN")

@@ -4,21 +4,16 @@ Vertices are integers 0..n-1 and every vertex set is a plain int bitmask, so
 neighborhood unions, coverage counts, and membership tests are single machine
 operations. Order is capped at MAX_VERTICES to keep masks within one word.
 
-Every Graph checks its rows when it is built, products and parsed graphs
-included; there is no unchecked constructor, since a second way in would be
-a second path to keep right, and the check is cheap. Rows out of range show
-in min and max over the rows. The rest is word-level: the n rows are packed
-as one w x w bit matrix M (w the least of 8, 16, 32 and 64 that is at least
-n), transposed to T with log2(w) delta-swaps (H. S. Warren, Hacker's
-Delight, 2nd ed., section 7-3), and then M & diagonal holds the self-loops
-and M & ~T the edges that one row has and its partner lacks. The error
-names the first faulty row, and within it a range fault before a self-loop
-before the lowest one-sided edge, as checking row by row would.
+Rows are checked where they enter. Graph(adj) checks each row in vertex
+order for range, then a self-loop, then each neighbour upward for its
+partner, and names the first faulty row; the enumerator and every parser
+build through it. The one exception is cartesian_product: a product of two
+Graphs is symmetric, loop-free and in range by construction, and its order
+is bounded before it is built, so it skips a check that cannot fail.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -83,49 +78,15 @@ def format_vertex_set(mask: int) -> str:
     return "{" + text[:-1] + "}"
 
 
-def _packings() -> tuple[tuple[int, struct.Struct, int, tuple[tuple[int, int], ...]], ...]:
-    """Entry n: how Graph checks an order-n adjacency. The width w is the
-    least of 8, 16, 32 and 64 that is at least n; the Struct packs n rows
-    little-endian as w-bit words, so bit v*w + u of the packed int is bit u
-    of row v; the diagonal has bit v*w + v for each v < w; and the swaps are
-    the (delta, mask) pairs of the transpose. The swap for block size j
-    exchanges element (r, c) with (r + j, c - j) where bit j of r is clear
-    and bit j of c is set; once for each j in w/2, ..., 2, 1 it transposes
-    the matrix (Warren, Hacker's Delight, 2nd ed., section 7-3)."""
-    by_width = {}
-    for code, w in zip("BHIQ", (8, 16, 32, 64)):
-        square = struct.Struct(f"<{w}{code}")
-
-        def matrix(rows: Iterable[int]) -> int:
-            return int.from_bytes(square.pack(*rows), "little")
-
-        swaps = []
-        j = w // 2
-        while j:
-            columns = sum(1 << c for c in range(w) if c & j)
-            swaps.append((j * (w - 1), matrix(0 if r & j else columns for r in range(w))))
-            j //= 2
-        by_width[w] = (code, matrix(1 << v for v in range(w)), tuple(swaps))
-    out = []
-    for n in range(MAX_VERTICES + 1):
-        w = next(w for w in by_width if w >= n)
-        code, diagonal, swaps = by_width[w]
-        out.append((w, struct.Struct(f"<{n}{code}"), diagonal, swaps))
-    return tuple(out)
-
-
-_PACKINGS = _packings()
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable graph; ``adj[v]`` is the open-neighborhood bitmask of v.
 
-    Every construction is checked: an order over MAX_VERTICES raises
+    Construction checks the rows: an order over MAX_VERTICES raises
     VertexCapError, and a negative row, a row with a bit at n or above, a
     self-loop, or an edge missing from its partner's row raises ValueError
-    naming the first faulty row. The module docstring describes the
-    transpose check and why there is no unchecked constructor."""
+    naming the first faulty row. Only cartesian_product builds a Graph
+    without the check (see the module docstring)."""
 
     adj: tuple[int, ...]
 
@@ -135,32 +96,18 @@ class Graph:
         n = len(adj)
         if n > MAX_VERTICES:
             raise VertexCapError(f"order {n} exceeds the cap of {MAX_VERTICES}")
-        if not n:
-            return
         full = (1 << n) - 1
-        wide = n  # the first row with a bit at n or above, if any
-        if min(adj) < 0 or max(adj) > full:
-            wide = next(v for v, row in enumerate(adj) if row & ~full)
-            adj = [row & full for row in adj]  # the bits below n, all that rows before it read
-        width, packer, diagonal, swaps = _PACKINGS[n]
-        try:
-            matrix = int.from_bytes(packer.pack(*adj), "little")
-        except struct.error:
-            raise TypeError("adjacency rows must be ints") from None
-        transposed = matrix
-        for delta, mask in swaps:
-            x = (transposed ^ transposed >> delta) & mask
-            transposed ^= x ^ x << delta
-        loops = matrix & diagonal
-        bad = loops | matrix & ~transposed
-        if bad:
-            v, u = divmod((bad & -bad).bit_length() - 1, width)
-            if v < wide:
-                if loops >> v * (width + 1) & 1:
-                    raise ValueError(f"self-loop at vertex {v}")
-                raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        if wide < n:
-            raise ValueError(f"neighborhood of vertex {wide} mentions vertices >= {n}")
+        for v, row in enumerate(adj):
+            if row & ~full:
+                raise ValueError(f"neighborhood of vertex {v} mentions vertices >= {n}")
+            if row >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
+                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     @property
     def order(self) -> int:
@@ -334,4 +281,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
             row >>= 1
             shift += m
         spread.append(out)
-    return Graph(tuple(h.adj[j] << i * m | spread[i] << j for i in range(n) for j in range(m)))
+    product = object.__new__(Graph)  # unchecked: it cannot fail (module docstring)
+    object.__setattr__(product, "adj", tuple(h.adj[j] << i * m | spread[i] << j for i in range(n) for j in range(m)))
+    return product

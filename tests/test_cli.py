@@ -60,6 +60,16 @@ def test_graph_from_generator_rejects(spec):
         graph_from_generator(spec)
 
 
+@pytest.mark.parametrize("spec", ["path:3_0", "path:+3", "path: 3", "path:\u0663", "complete-bipartite:2,\u0663"],
+                         ids=["underscore", "plus", "space", "arabic-indic", "second-argument"])
+def test_generator_takes_ascii_digits_only(capsys, spec):
+    # int() takes each of these: "path:3_0" would build a 30-vertex path.
+    assert main(["gamma", "--gen", spec, "--p", "1/2"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: generator arguments must be integers, got {spec.partition(':')[2]!r}\n"
+
+
 def test_gamma_golden(capsys):
     assert main(["gamma", "--gen", "path:6", "--p", "1/2"]) == EXIT_OK
     assert capsys.readouterr().out == (
@@ -430,6 +440,16 @@ def test_scan_order_out_of_range(capsys):
         assert capsys.readouterr().err == f"error: --max-order must be in 1..7, got {order}\n"
 
 
+@pytest.mark.parametrize("order", ["\u0663", "0_3", "+3", " 3", "x"],
+                         ids=["arabic-indic", "underscore", "plus", "space", "letter"])
+def test_scan_max_order_takes_ascii_digits_only(capsys, order):
+    # As the edge-list parser reads integers; int() alone takes all but "x".
+    assert main(["scan", "--max-order", order, "--p", "1/2"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"pdom scan: error: argument --max-order: invalid int value: {order!r}\n")
+
+
 def test_product_graph6(capsys):
     assert main(["product", "--gen", "path:2", "--gen2", "path:2"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -452,14 +472,14 @@ def test_product_graph6_long_header(capsys):
 
 
 @pytest.mark.parametrize("argv,golden", [
-    # order 9, the first packed at width 16 when Graph checks its adjacency
+    # order 9, just past one byte of row bits
     (["--gen", "path:3", "--gen2", "path:3"], "HkSg_SD"),
-    # order 33, width 64
+    # order 33, just past 32 bits
     (["--gen", "cycle:3", "--gen2", "path:11"],
      "`hCGGC@?G?o?O@G?a?GO@@?CA?GA?G@?C?O@?A?K?G?G?O@G?O@C?G?`?A?GG?O@?_@?C@?A?G@?A?G?_@?C?G?O@"),
 ], ids=["P3xP3", "C3xP11"])
 def test_product_graph6_at_packing_widths(capsys, argv, golden):
-    # CI runs these on each Python from 3.10 to 3.13, so every version packs rows with struct.
+    # CI runs these on each Python from 3.10 to 3.13, so every version builds the same rows.
     assert main(["product", *argv]) == EXIT_OK
     assert capsys.readouterr().out == golden + "\n"
 
@@ -551,6 +571,15 @@ def test_file_input_edge_list_takes_ascii_digits_only(tmp_path, capsys, text, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_file_input_edge_list_negative_order_golden(tmp_path, capsys):
+    listing = tmp_path / "edges.txt"
+    listing.write_text("n -3\n")
+    assert main(["gamma", "--file", str(listing), "--p", "1/2"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: negative order -3\n"
 
 
 @pytest.mark.parametrize("text,message", [

@@ -279,6 +279,12 @@ def test_parse_edge_list_names_the_line_over_the_cap(text, error, message):
     assert str(err.value) == message
 
 
+def test_parse_edge_list_rejects_negative_order():
+    with pytest.raises(FormatError) as err:
+        parse_edge_list("n -3\n")
+    assert str(err.value) == "line 1: negative order -3"
+
+
 def test_parse_edge_list_takes_order_64():
     g = parse_edge_list("0 1\n62 63\n")
     assert g.order == 64 and list(g.edges()) == [(0, 1), (62, 63)]

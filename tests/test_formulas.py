@@ -93,6 +93,11 @@ def test_half_domination_complete_product_values(m, n, expected):
     assert half_domination_complete_product(m, n) == expected
 
 
+def test_half_domination_complete_product_rejects_empty_factors():
+    with pytest.raises(ValueError, match=r"^complete factors need at least 1 vertex, got \(0, 1\)$"):
+        half_domination_complete_product(0, 1)
+
+
 def test_half_domination_complete_product_matches_solver():
     for m in range(1, 7):
         for n in range(1, m + 1):
@@ -111,6 +116,11 @@ def test_complete_product_search_equals_square_root_form():
 @pytest.mark.parametrize("n,m,expected", [(3, 4, 1), (5, 3, 2), (2, 2, 1), (6, 1, 1)])
 def test_half_domination_path_complete_values(n, m, expected):
     assert half_domination_path_complete(n, m) == expected
+
+
+def test_half_domination_path_complete_rejects_empty_factors():
+    with pytest.raises(ValueError, match=r"^factors need at least 1 vertex, got \(0, 1\)$"):
+        half_domination_path_complete(0, 1)
 
 
 def test_half_domination_path_complete_matches_solver():

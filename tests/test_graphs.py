@@ -228,6 +228,8 @@ def test_generator_shapes():
     assert [g.degree(v) for v in range(6)] == [2, 2, 2, 2, 4, 4]
     with pytest.raises(ValueError):
         cycle(2)
+    with pytest.raises(ValueError, match="^complete graph needs at least 1 vertex, got 0$"):
+        complete(0)
     with pytest.raises(ValueError):
         complete_bipartite(0, 2)
     with pytest.raises(ValueError):
@@ -327,17 +329,41 @@ def test_product_matches_networkx():
             assert cartesian_product(g, h).adj == _networkx_product(g, h)
 
 
-@pytest.mark.parametrize("g,h", [
-    (path(3), path(3)),  # order 9, the first packed at width 16
-    (path(4), path(4)),  # 16
-    (path(17), path(1)),  # 17, width 32
-    (cycle(3), path(11)),  # 33, width 64
+# Products whose order is at or just past 8, 16 and 32 bits, and at the cap of
+# 64, where a row shifted into the wrong place would show.
+_PRODUCT_CASES = [
+    (path(3), path(3)),
+    (path(4), path(4)),
+    (path(17), path(1)),
+    (cycle(3), path(11)),
     (path(64), path(1)),
     (path(1), path(64)),
     (complete(8), complete(8)),
-], ids=["P3xP3", "P4xP4", "P17xP1", "C3xP11", "P64xP1", "P1xP64", "K8xK8"])
+]
+_PRODUCT_IDS = ["P3xP3", "P4xP4", "P17xP1", "C3xP11", "P64xP1", "P1xP64", "K8xK8"]
+
+
+@pytest.mark.parametrize("g,h", _PRODUCT_CASES, ids=_PRODUCT_IDS)
 def test_product_matches_networkx_at_each_packing_width(g, h):
     assert cartesian_product(g, h).adj == _networkx_product(g, h)
+
+
+def _assert_passes_the_check(product: Graph) -> None:
+    assert brute_adjacency_error(product.adj) is None
+    assert Graph(product.adj) == product
+
+
+def test_unchecked_products_pass_the_check():
+    # cartesian_product skips Graph's row check; each result must pass it.
+    graphs = list(enumerate_graphs(4, connected=False))
+    for g in graphs:
+        for h in graphs:
+            _assert_passes_the_check(cartesian_product(g, h))
+
+
+@pytest.mark.parametrize("g,h", _PRODUCT_CASES, ids=_PRODUCT_IDS)
+def test_unchecked_products_pass_the_check_at_larger_orders(g, h):
+    _assert_passes_the_check(cartesian_product(g, h))
 
 
 def test_prism_is_cubic():

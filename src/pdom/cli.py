@@ -141,7 +141,7 @@ def _cmd_influence(args: argparse.Namespace) -> int:
         if g.order < 1:
             raise ValueError("--all-p needs at least one vertex")
         intersection = g.full_mask
-        for k, (_, found) in enumerate(influencing_sweep(g), start=1):
+        for k, found in enumerate(influencing_sweep(g), start=1):
             intersection &= found
             print(f"p={k}/{g.order} influencing = {format_vertex_set(found)}")
         print(f"intersection = {format_vertex_set(intersection)}")

@@ -17,7 +17,8 @@ The search has three modes:
   labels and duplicate free (all_minimum_sets);
 - union: keep only the OR of the hits so far (influencing_set and
   influencing_sweep), so the influencing set is found without listing
-  the family.
+  the family. influencing_sweep yields the n influencing sets as plain
+  masks, the k-th for p = k/n, and influencing_intersection ANDs them.
 
 The candidate order depends on the mode alone. "first" mode takes label
 order, because its witness is lex-least in the labels: under another order
@@ -132,7 +133,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from numbers import Rational
+from operator import and_, itemgetter
 from typing import Literal
 
 from .graphs import Graph, members
@@ -389,19 +392,14 @@ def influencing_set(g: Graph, p: Fraction | int) -> int:
     return next(_minimum_covers(g, "union", [coverage_target(g.order, p)]))[1]
 
 
-def influencing_sweep(g: Graph) -> Iterator[tuple[Fraction, int]]:
-    """(p, influencing set) for p = k/n, k = 1..n, from one kernel call."""
-    n = g.order
-    for k, (_, found, _) in enumerate(_minimum_covers(g, "union", range(1, n + 1)), start=1):
-        yield Fraction(k, n), found
+def influencing_sweep(g: Graph) -> Iterator[int]:
+    """The influencing sets for p = k/n, k = 1..n, in turn, from one kernel
+    call; the k-th set is influencing_set(g, Fraction(k, n))."""
+    return map(itemgetter(1), _minimum_covers(g, "union", range(1, g.order + 1)))
 
 
 def influencing_intersection(g: Graph) -> int:
     """Intersection of the influencing sets over p = k/n for k = 1..n."""
     if g.order < 1:
         raise ValueError("influencing intersection needs at least one vertex")
-    out = g.full_mask
-    # Own loop: via influencing_sweep (a Fraction per p) the 996 sweep graphs took 39 ms, not 31 (Xeon, CPython 3.11).
-    for _, found, _ in _minimum_covers(g, "union", range(1, g.order + 1)):
-        out &= found
-    return out
+    return reduce(and_, influencing_sweep(g), g.full_mask)

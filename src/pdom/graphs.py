@@ -130,16 +130,6 @@ class Graph:
             raise ValueError("max_degree of an empty graph")
         return max(row.bit_count() for row in self.adj)
 
-    def min_degree(self) -> int:
-        if not self.adj:
-            raise ValueError("min_degree of an empty graph")
-        return min(row.bit_count() for row in self.adj)
-
-    def max_degree_vertices(self) -> int:
-        """Bitmask of the vertices attaining the maximum degree."""
-        top = self.max_degree()
-        return mask_of(v for v in range(self.order) if self.adj[v].bit_count() == top)
-
     def closed_neighborhood_of_set(self, s: int) -> int:
         """N[S]: S together with every neighbor of a member of S."""
         if s & ~self.full_mask:

@@ -4,6 +4,8 @@ import hashlib
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -280,7 +282,7 @@ def test_vertex_transitive_graphs_are_fully_influencing():
     cycles = [cycle(n) for n in range(3, 31)]
     tori = [cartesian_product(cycle(a), cycle(b)) for a in range(3, 6) for b in range(a, 7)]
     for g in cycles + tori:
-        assert list(influencing_sweep(g)) == [(Fraction(k, g.order), g.full_mask) for k in range(1, g.order + 1)]
+        assert list(influencing_sweep(g)) == [g.full_mask] * g.order
     # Each vertex of a cycle covers 3, and spaced picks reach any k of the
     # n vertices, so gamma at p = k/n is ceil(k / 3).
     for g in cycles:
@@ -304,8 +306,7 @@ def test_sweep_and_intersection_match_brute_to_order_6(connected_upto_6):
     for g in connected_upto_6:
         n = g.order
         expected = [brute_influencing(g, Fraction(k, n)) for k in range(1, n + 1)]
-        assert [(p, set(members(found))) for p, found in influencing_sweep(g)] == \
-            [(Fraction(k, n), s) for k, s in enumerate(expected, start=1)]
+        assert [set(members(found)) for found in influencing_sweep(g)] == expected
         assert set(members(influencing_intersection(g))) == set.intersection(*expected)
 
 
@@ -375,11 +376,16 @@ def test_gamma_does_not_decrease_in_p(g):
 @SEEDED
 @given(small_graphs())
 def test_influencing_sweep_matches_brute(g):
+    # The k-th of the n entries is the influencing set at p = k/n, and the
+    # intersection is their AND.
     n = g.order
     swept = list(influencing_sweep(g))
-    assert [p for p, _ in swept] == [Fraction(k, n) for k in range(1, n + 1)]
-    for p, found in swept:
+    assert len(swept) == n
+    for k, found in enumerate(swept, start=1):
+        p = Fraction(k, n)
         assert set(members(found)) == brute_influencing(g, p)
+        assert found == influencing_set(g, p)
+    assert influencing_intersection(g) == reduce(and_, swept, g.full_mask)
 
 
 @SEEDED_SPARSE
@@ -388,8 +394,9 @@ def test_kernel_modes_match_brute_on_sparse_graphs(g):
     # Larger graphs reach memo states the small_graphs strategy does not:
     # a memo key without the cursor drops hits here.
     n = g.order
-    swept = dict(influencing_sweep(g))
-    for k in range(1, n + 1):
+    swept = list(influencing_sweep(g))
+    assert len(swept) == n
+    for k, found in enumerate(swept, start=1):
         p = Fraction(k, n)
         expected = brute_minimum_sets(g, p)
         result = partial_domination_number(g, p)
@@ -398,7 +405,7 @@ def test_kernel_modes_match_brute_on_sparse_graphs(g):
         assert [members(s) for s in all_minimum_sets(g, p).sets] == expected
         union = set().union(*expected)
         assert set(members(influencing_set(g, p))) == union
-        assert set(members(swept[p])) == union
+        assert set(members(found)) == union
 
 
 def _union_of_family(g: Graph, p: Fraction) -> int:
@@ -420,14 +427,17 @@ def test_influencing_set_is_union_of_family(g):
 def _assert_influencing_matches_brute(g: Graph) -> None:
     n = g.order
     swept = list(influencing_sweep(g))
-    assert [p for p, _ in swept] == [Fraction(k, n) for k in range(1, n + 1)]
+    assert len(swept) == n
     common = set(range(n))
-    for p, found in swept:
+    for k, found in enumerate(swept, start=1):
+        p = Fraction(k, n)
         expected = brute_influencing(g, p)
         assert set(members(influencing_set(g, p))) == expected
         assert set(members(found)) == expected
         common &= expected
-    assert set(members(influencing_intersection(g))) == common
+    intersection = influencing_intersection(g)
+    assert set(members(intersection)) == common
+    assert intersection == reduce(and_, swept, g.full_mask)
 
 
 # Union mode drops a child when no vertex left to it can add a 1/m share of
@@ -502,7 +512,7 @@ def test_packing_bound_on_relabelled_grid(seed):
     assert [members(s) for s in all_minimum_sets(g, one).sets] == expected
     union = brute_influencing(g, one)
     assert set(members(influencing_set(g, one))) == union
-    assert set(members(dict(influencing_sweep(g))[one])) == union
+    assert set(members(list(influencing_sweep(g))[-1])) == union  # the sweep's last entry is p = 1
 
 
 def test_failure_memo_keeps_union_pruned_subtrees():
@@ -513,11 +523,12 @@ def test_failure_memo_keeps_union_pruned_subtrees():
     # graph reaches neither prune with a nonempty union; the next test
     # holds that fault.
     g = from_edges(10, [(0, 9), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5), (5, 6), (6, 9)])
-    swept = dict(influencing_sweep(g))
-    for k in range(1, 11):
+    swept = list(influencing_sweep(g))
+    assert len(swept) == 10
+    for k, found in enumerate(swept, start=1):
         p = Fraction(k, 10)
         assert set(members(influencing_set(g, p))) == brute_influencing(g, p)
-        assert set(members(swept[p])) == brute_influencing(g, p)
+        assert set(members(found)) == brute_influencing(g, p)
 
 
 def test_failure_memo_keeps_union_pruned_children():
@@ -532,7 +543,7 @@ def test_failure_memo_keeps_union_pruned_children():
     p = Fraction(6, 7)
     expected = brute_influencing(g, p)
     assert set(members(influencing_set(g, p))) == expected
-    assert set(members(dict(influencing_sweep(g))[p])) == expected
+    assert set(members(list(influencing_sweep(g))[11])) == expected  # k = 12 of 14
 
 
 def test_failure_memo_key_holds_the_cursor():
@@ -627,7 +638,7 @@ def _assert_relabelling_invariant(g: Graph, perm: list[int]) -> None:
         image = sorted((_image(s, perm) for s in all_minimum_sets(g, p).sets), key=members)
         assert all_minimum_sets(h, p).sets == tuple(image)
         assert influencing_set(h, p) == _image(influencing_set(g, p), perm)
-    assert list(influencing_sweep(h)) == [(p, _image(s, perm)) for p, s in influencing_sweep(g)]
+    assert list(influencing_sweep(h)) == [_image(s, perm) for s in influencing_sweep(g)]
 
 
 @SEEDED

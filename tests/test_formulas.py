@@ -207,7 +207,7 @@ def test_threshold_guarantees_full_influence():
     # For p up to (min degree + 1)/n every vertex is in some minimum set.
     for g in (path(7), complete(5), complete_bipartite(3, 2), pendant_wheel_graph()):
         n = g.order
-        bound = Fraction(g.min_degree() + 1, n)
+        bound = Fraction(min(row.bit_count() for row in g.adj) + 1, n)
         for k in range(1, n + 1):
             p = Fraction(k, n)
             if p <= bound:

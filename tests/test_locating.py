@@ -8,7 +8,6 @@ from hypothesis import example, given
 import pdom.domination
 import pdom.locating
 from pdom.graphs import (
-    members,
     path,
     pendant_wheel_graph,
     twin_broom_tree,
@@ -72,9 +71,10 @@ def test_minimum_sets_stay_within_distance_two(connected_upto_5):
     # and families avoiding the vertex keep two members that close
     for g in connected_upto_5:
         n = g.order
+        top = [v for v in range(n) if g.degree(v) == g.max_degree()]
         for k in range(1, n + 1):
             p = Fraction(k, n)
-            for v in members(g.max_degree_vertices()):
+            for v in top:
                 verdict = proximity_verdict(g, p, v)
                 assert verdict.contains_vertex or verdict.hits_neighbors or verdict.hits_distance_two
                 assert support_within_two(g, p, v) in (None, True)
@@ -89,8 +89,9 @@ def test_verdict_never_lists_the_family(monkeypatch, connected_upto_5):
     monkeypatch.setattr(pdom.locating, "all_minimum_sets", refuse)
     monkeypatch.setattr(pdom.domination, "all_minimum_sets", refuse)
     for g in connected_upto_5 + [twin_hub_graph(), pendant_wheel_graph(), twin_broom_tree()]:
+        top = [v for v in range(g.order) if g.degree(v) == g.max_degree()]
         for k in range(1, g.order + 1):
-            for v in members(g.max_degree_vertices()):
+            for v in top:
                 proximity_verdict(g, Fraction(k, g.order), v)
 
 
@@ -104,10 +105,11 @@ def test_verdict_matches_brute_family(g):
     # graph's masks.
     nbrs = neighbor_sets(g)
     n = g.order
+    top = [v for v in range(n) if g.degree(v) == g.max_degree()]
     for k in range(1, n + 1):
         p = Fraction(k, n)
         family = [set(combo) for combo in brute_minimum_sets(g, p)]
-        for v in members(g.max_degree_vertices()):
+        for v in top:
             ring = set().union(*(nbrs[u] for u in nbrs[v])) - nbrs[v] - {v}
             expected = (
                 any(v in s for s in family),

@@ -39,6 +39,14 @@ h << (n-1) and so below the child's: the child is not canonical. The test
 keeps, per census, the highest rank that has it. MAX_ENUM_ORDER caps the
 order at 7.
 
+A connected enumeration drops a child of the last order before either
+test when its new vertex misses a component of its parent: for n >= 2,
+h << (n-1) | s is connected exactly when s meets every component of h, and
+no later order is grown from it. Lower orders keep such children, since a
+connected graph's canonical parent can be disconnected: a star's is the
+edgeless graph. Each kept child's components come from its parent's: those
+s misses, and one holding vertex 0 and all the others.
+
 At p = 1 the scan settles most pairs without building the product. A
 2-packing of G is a set of vertices pairwise at distance at least 3, so
 their closed neighbourhoods are disjoint, and rho(G) is the size of a
@@ -197,32 +205,36 @@ def enumerate_graphs(max_order: int, *, connected: bool = True) -> Iterator[Grap
     deleting one of its vertices leaves a census (the sum of 16**deg) that
     no graph of rank >= r has: that vertex at position 0, with the rest in
     its canonical labelling above it, gives a smaller mask. top maps each
-    census of the order below to the highest rank that has it."""
+    census of the order below to the highest rank that has it.
+
+    When connected, a child of order max_order whose new vertex misses a
+    component of its parent is disconnected and is dropped before both
+    tests. Below max_order it is kept, because it may be the canonical
+    parent of a connected graph, as the edgeless graph is of the star. A
+    graph of a lower order is yielded when it has one component."""
     if not 1 <= max_order <= MAX_ENUM_ORDER:
         raise ValueError(f"max_order must be in 1..{MAX_ENUM_ORDER}, got {max_order}")
-    level = [((), [])]  # the canonical graphs of one order, from 0 up, by ascending edge mask, with their automorphisms
+    level = [((), [], [])]  # the canonical graphs of one order, from 0 up, by ascending edge mask, with their automorphisms and component masks
     for n in range(1, max_order + 1):
-        top = {sum(1 << 4 * row.bit_count() for row in parent): rank for rank, (parent, _) in enumerate(level)}
+        last = connected and n == max_order
+        top = {sum(1 << 4 * row.bit_count() for row in parent): rank for rank, (parent, _, _) in enumerate(level)}
         children = []
-        for rank, (parent, gens) in enumerate(level):
+        for rank, (parent, gens, comps) in enumerate(level):
             for s in _orbit_minima(n - 1, gens):
+                if last and any(not comp & s for comp in comps):
+                    continue  # the new vertex misses a component of the parent: a disconnected child
                 # the new vertex 0 joins parent vertex v, now v + 1, when bit v of s is set
                 child = (s << 1,) + tuple(row << 1 | s >> v & 1 for v, row in enumerate(parent))
                 if _outranked(child, rank, top):
                     continue
                 found = []
                 if not _beaten(child, found):
-                    children.append((child, found))
+                    apart = [comp << 1 for comp in comps if not comp & s]  # disjoint, so their sum is their union
+                    children.append((child, found, apart + [(1 << n) - 1 - sum(apart)]))
         level = children
-        for adj, _ in level:
-            g = Graph(adj)
-            if connected:
-                reach, grown = 0, 1
-                while grown != reach:  # N[N[...N[{0}]]] stops growing at vertex 0's component
-                    reach, grown = grown, g.closed_neighborhood_of_set(grown)
-                if reach != g.full_mask:
-                    continue
-            yield g
+        for adj, _, comps in level:
+            if not connected or len(comps) == 1:
+                yield Graph(adj)
 
 
 @dataclass(frozen=True)

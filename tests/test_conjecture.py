@@ -100,12 +100,11 @@ def test_bench_order7_file_is_the_order_7_enumeration():
     assert lines == expected
 
 
-def test_enumeration_search_size_is_pinned():
-    # Calls of the census test, of the minimality test and of its nested
-    # search, and the children the census rejects, counted with a profile
-    # hook; the outputs stay the same when a pruning stops firing, so only
-    # these counts show it. Without pruning _beaten and place ran 11,290 and
-    # 457,830 times, and without the census 5,759 and 143,065 times.
+def _search_size(connected: bool) -> tuple[int, Counter]:
+    """The graphs enumerate_graphs(7, connected=connected) yields, and the
+    calls of the census test, of the minimality test and of its nested
+    search, and the children the census rejects, counted with a profile
+    hook."""
     outranked = pdom.conjecture._outranked.__code__
     beaten = pdom.conjecture._beaten.__code__
     place = next(c for c in beaten.co_consts if getattr(c, "co_name", None) == "place")
@@ -119,11 +118,37 @@ def test_enumeration_search_size_is_pinned():
 
     sys.setprofile(profile)
     try:
-        graphs = sum(1 for _ in enumerate_graphs(7, connected=False))
+        graphs = sum(1 for _ in enumerate_graphs(7, connected=connected))
     finally:
         sys.setprofile(None)
+    return graphs, calls
+
+
+def test_enumeration_search_size_is_pinned():
+    # The outputs stay the same when a pruning stops firing, so only these
+    # counts show it. Without pruning _beaten and place ran 11,290 and
+    # 457,830 times, and without the census 5,759 and 143,065 times.
+    graphs, calls = _search_size(connected=False)
     assert graphs == 1252
     assert calls == {"_outranked": 5759, "rejected": 4053, "_beaten": 1706, "place": 81139}
+
+
+def test_connected_enumeration_search_size_is_pinned():
+    # The last order's children whose new vertex misses a component of
+    # their parent are dropped before either test; without that filter
+    # these counts are the connected=False ones above.
+    graphs, calls = _search_size(connected=True)
+    assert graphs == 996
+    assert calls == {"_outranked": 4969, "rejected": 3467, "_beaten": 1502, "place": 63783}
+
+
+@pytest.mark.parametrize("max_order", range(1, 8))
+def test_connected_enumeration_is_the_connected_part_of_the_full_one(max_order):
+    # Same graphs, same labelling, same order: the connected enumeration is
+    # the full one with the disconnected graphs taken out, by the search in
+    # brute_connected.
+    expected = [g.adj for g in enumerate_graphs(max_order, connected=False) if brute_connected(g)]
+    assert [g.adj for g in enumerate_graphs(max_order)] == expected
 
 
 def test_orbit_filter_keeps_exactly_the_orbit_minima(monkeypatch):

@@ -43,6 +43,14 @@ remaining candidates:
   position i or later reaches them) than the n - target vertices allowed
   to stay uncovered.
 
+A node's slack bound at i carries over to its child at i + 1, the child
+that picks position i: a vertex dead at i + 1 but not at i lies in
+N[order[i]], which the child covers, so the child's uncovered dead
+vertices at i + 1 are among the node's uncovered dead vertices at i,
+which the node has just counted. Whatever the mode, target or candidate
+order, the slack bound therefore never ends a child at its first
+candidate.
+
 In union mode a child is also dropped when its chosen vertices and every
 vertex it could still pick (those at positions from its cursor on) all lie
 in the union already: no hit below it can add a vertex. The union is
@@ -99,19 +107,26 @@ slower, so they do not.
 
 Every test that can drop a child runs in its parent's candidate loop,
 before the call, since a Python call costs more than any of the tests.
-The two bounds at the child's first candidate, where they would end its
-scan at once, come first, coverage then slack, and run as soon as the
-child's covered count is known: the child's chosen set and uncovered set
-are built only for a child that passes them (on P7xP9 at 3/4 in "first"
-mode, 54,975 of the 84,384 children end at the coverage bound). Then come,
-in union mode, the union prune and the per-pick coverage bound, and last
-the packing bound and the memo. A child with one pick left is not called
-either; the parent scans that last pick itself, and the scan's first
-candidate has passed the two bounds already. Roots take none of these
-tests: the size starts at the counting bound, nothing is dead at position
-0, the union is empty, no memo key has cursor 0, each of their children
-takes the packing test, and the per-pick coverage bound would be met by
-the vertex of largest closed neighborhood.
+The coverage bound at the child's first candidate, where it would end
+the child's scan at once, comes first and runs as soon as the child's
+covered count is known: the child's chosen set and uncovered set are
+built only for a child that passes it (on P7xP9 at 3/4 in "first" mode,
+54,975 of the 84,384 children end there). The slack bound there needs no
+test, by the argument above. Then come, in union mode, the union prune
+and the per-pick coverage bound, and last the packing bound and the
+memo. A child with one pick left is not called either; the parent scans
+that last pick itself, and the scan's first candidate has passed both
+bounds already. Roots take none of these tests: the size starts at the
+counting bound, nothing is dead at position 0, the union is empty, no
+memo key has cursor 0, each of their children takes the packing test,
+and the per-pick coverage bound would be met by the vertex of largest
+closed neighborhood.
+
+The loop-head test at a node's first candidate therefore cannot fire: at
+a called child the parent's coverage test and the argument above settle
+it, and at a root's position 0 the counting bound and the empty dead
+set. It is the one redundant test kept, since skipping it would cost a
+branch per candidate.
 
 Size 1 is reached only when the counting bound is 1, so some vertex covers
 the target alone, and it enters no node: alone[t] holds the vertices whose
@@ -272,11 +287,12 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
             child = covered | cl[i]
             child_count = child.bit_count()
             j = i + 1
-            # The child's two bounds first: most children end here.
-            if child_count + m * best[j] < target or (dead[j] & ~child).bit_count() > slack:
+            # The child's coverage bound first: most children end here. Its
+            # slack bound at j holds already (see the module docstring).
+            if child_count + m * best[j] < target:
                 continue  # it would stop at its first candidate
             child_uncovered = ~child
-            if m == 1:  # the child's last pick, scanned here; j passed the bounds above
+            if m == 1:  # the child's last pick, scanned here; j passed both bounds
                 for j in range(j, n):
                     if (child | cl[j]).bit_count() >= target:
                         hit = chosen | bit[i] | bit[j]

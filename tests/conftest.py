@@ -18,10 +18,9 @@ def graphs_upto_6() -> list:
 
 
 @pytest.fixture(scope="session")
-def connected_upto_6(graphs_upto_6) -> list:
-    from brute import brute_connected
-
-    return [g for g in graphs_upto_6 if brute_connected(g)]
+def connected_upto_6() -> list:
+    """The connected graphs with 1..6 vertices, from the connected enumeration."""
+    return list(enumerate_graphs(6))
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,7 @@ from pdom.graphs import Graph, VertexCapError, cartesian_product, complete, mask
 
 from brute import brute_canonical, brute_connected, brute_edge_mask, brute_gamma, brute_least_mask, neighbor_sets, random_graph
 from strategies import SEEDED, small_graphs
+from test_domination import _nodes_entered
 
 HALF = Fraction(1, 2)
 
@@ -361,6 +362,16 @@ def test_scan_finds_no_failures_on_small_connected_orders(max_order, expected_pa
 def test_scan_holds_for_full_domination_too(max_order, expected_pairs):
     outcome = scan_conjecture(1, enumerate_graphs(max_order))
     assert (outcome.pairs, outcome.failures) == (expected_pairs, ())
+
+
+@pytest.mark.parametrize("p,nodes", [
+    (Fraction(1, 3), 196), (HALF, 471), (Fraction(3, 5), 776), (Fraction(2, 3), 1215), (Fraction(3, 4), 2773),
+    (Fraction(1), 874),
+], ids=["1/3", "1/2", "3/5", "2/3", "3/4", "1/1"])
+def test_scan_search_size_is_pinned(p, nodes):
+    # Nodes the kernel enters over the scan benchmark's order-5 scans: many
+    # small "first"-mode product solves, which the kernel's own pins miss.
+    assert _nodes_entered(lambda: scan_conjecture(p, enumerate_graphs(5))) == nodes
 
 
 def _assert_two_packing(g: Graph, packing: int) -> None:

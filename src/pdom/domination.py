@@ -64,10 +64,12 @@ how many dead vertices are covered, where more only helps. When a child's
 call returns with no hit and no union prune below it, its parent records
 the child's key (i, picks left, live covered set) with its dead count, and
 a later child with the same key and at most that dead count is dropped.
-The memo lives for one target's search over all sizes, since a failed
-state fails whatever the size; it is used only when the slack n - target
-is positive (at zero slack it saves too little to pay for itself) and only
-for children with two or more picks left (the last pick is a single scan).
+The memo lives for the whole kernel call: a failed state fails whatever
+the size, and, since the targets ascend, whatever later target, because
+no completion that misses a target reaches a larger one. It is used only
+when the slack n - target is positive (at zero slack it saves too little
+to pay for itself) and only for children with two or more picks left (the
+last pick is a single scan).
 
 The fourth prune, a packing bound, takes the memo's place at zero slack
 (p = 1), where every vertex must end up covered. A child's uncovered
@@ -81,8 +83,9 @@ behind "rho(G) = gamma(G) implies Vizing's inequality" (Bresar et al.,
 "Vizing's conjecture: a survey and recent results", 2012). It drops only
 subtrees without a hit, so no mode's output changes. The bound turns on
 once a size at zero slack has failed, and the sets of vertices beyond
-distance 2, far[u], are built then, once per kernel call. A root takes no
-packing test of its own; each of its children does. A first size that
+distance 2, far[u], are built then and kept for the rest of the call,
+since they depend on the graph alone. A root takes no packing test of its
+own; each of its children does. A first size that
 holds a hit, the usual case in a sweep, which starts there from the
 previous target's size, builds nothing: on small graphs the table costs
 more than the bound saves. With slack the same bound holds with
@@ -99,8 +102,8 @@ and drops the child if there is none. The coverage bound above counts whole
 closed neighborhoods instead, whatever they already hold: on the subdivided
 star S(10), once the search has passed the center and the center is
 covered, a pick adds at most 2 new vertices where that bound allows 3, and
-the per-pick bound cuts the nodes that influencing_sweep enters from 11,903
-to 896. A dropped child holds no hit, so the bound records no event and its
+the per-pick bound cuts the nodes that influencing_sweep enters from 10,871
+to 890. A dropped child holds no hit, so the bound records no event and its
 parent's memo record stays sound. In "first" and "all" modes on grids it
 saves 4-7% of the nodes, and a prototype that took it there ran 7-22%
 slower, so they do not.
@@ -134,10 +137,11 @@ closed neighborhood has t or more vertices (each vertex at its own size,
 then an OR down from the largest size). Union mode reads alone[target]
 as is; "first" mode takes its lowest label, the first hit since that mode
 walks label order; "all" mode lists its singletons in ascending order,
-which is lex order. The table is built on the first size-1 target of a
-call, not with the other tables: built on every call it made `pdom scan`
-about 8% slower, because a scan's "first"-mode solves almost never reach
-size 1.
+which is lex order. These answers leave through the same exit as the
+searched sizes. The table is built on the first size-1 target of a call
+and kept for the rest of it, not built with the other tables: built on
+every call it made `pdom scan` about 8% slower, because a scan's
+"first"-mode solves almost never reach size 1.
 
 Proportions are exact rationals, int or Fraction (a float is rejected:
 0.1 is not 1/10); coverage targets use integer ceiling arithmetic.
@@ -248,6 +252,13 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
     set: (0, 0, [0]). Size 1 is read from the threshold table alone;
     each larger size runs search from the root, which records the memo
     entries of the children it calls.
+
+    One table set serves the whole call: cl, bit, best, suffix and dead
+    are built here, alone and far on first use, and the memo fills as the
+    searches go. Only target, slack, found and hits are set per target.
+    A memo entry says that no completion of its state reaches the target
+    it was recorded at, so none reaches a later target either; hence the
+    targets must ascend.
     """
     n = g.order
     width = (n + 7) // 8  # bytes in a set's sort key
@@ -341,13 +352,20 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
                 memo[key] = held  # no hit and no union prune below it
         return False
 
-    k = 0
+    # Failure memo (see the module docstring): (first, left, live covered
+    # set) packed into one int -> the most dead vertices covered by a node
+    # with that key whose subtree held no hit. Used only with slack.
+    memo: dict[int, int] = {}
+    far: list[int] = []  # the packing bound's table; empty while the bound is off
     alone: list[int] = []  # alone[t]: the vertices v with |N[v]| >= t; built on first use
+    k = events = 0  # events: the hits and union prunes so far
     for target in targets:
         if target == 0:
             yield 0, 0, [0]
             continue
         k = max(k, -(-target // best[0]))
+        slack = n - target
+        hits: list[int] = []
         if k == 1:  # the counting bound is 1: some vertex covers the target alone
             if not alone:
                 alone = [0] * (best[0] + 1)
@@ -357,34 +375,26 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
                     alone[t] |= alone[t + 1]
             found = alone[target]
             if first_only:
-                yield 1, found & -found, []  # the lowest label
-            else:  # in "all" mode the singletons in ascending order, which is lex order
-                yield 1, found, [] if union else [1 << v for v in members(found)]
-            continue
-        slack = n - target
-        hits: list[int] = []
-        found = 0
-        # Failure memo (see the module docstring): (first, left, live covered
-        # set) packed into one int -> the most dead vertices covered by a node
-        # with that key whose subtree held no hit. Used only with slack.
-        memo: dict[int, int] = {}
-        far: list[int] = []  # the packing bound's table; empty while the bound is off
-        events = 0  # hits and union prunes so far
-        for k in range(k, n + 1):
-            search(0, k, 0, 0)
-            if found:
-                break
-            if not (slack or far):
-                # far[u]: the vertices whose closed neighborhoods miss N[u]
-                far = [full ^ g.closed_two_ball(v) for v in range(n)]
-        else:  # pragma: no cover
-            raise AssertionError("the whole vertex set covers every vertex")
-        # "all" mode: lex order in the caller's labels. The set holding the
-        # least vertex at which two sets differ comes first; the key lists
-        # the set's bits from vertex 0 up (bytes from the lowest, each with
-        # its bits reversed), so that set sorts last.
-        if len(hits) > 1:
-            hits.sort(key=lambda h: h.to_bytes(width, "little").translate(_REVERSED), reverse=True)
+                found &= -found  # the lowest label
+            elif not union:  # the singletons in ascending order, which is lex order
+                hits = [1 << v for v in members(found)]
+        else:
+            found = 0
+            for k in range(k, n + 1):
+                search(0, k, 0, 0)
+                if found:
+                    break
+                if not (slack or far):
+                    # far[u]: the vertices whose closed neighborhoods miss N[u]
+                    far = [full ^ g.closed_two_ball(v) for v in range(n)]
+            else:  # pragma: no cover
+                raise AssertionError("the whole vertex set covers every vertex")
+            # "all" mode: lex order in the caller's labels. The set holding the
+            # least vertex at which two sets differ comes first; the key lists
+            # the set's bits from vertex 0 up (bytes from the lowest, each with
+            # its bits reversed), so that set sorts last.
+            if len(hits) > 1:
+                hits.sort(key=lambda h: h.to_bytes(width, "little").translate(_REVERSED), reverse=True)
         yield k, found, hits
 
 

@@ -415,6 +415,17 @@ def test_scan_rejects_order_zero_graph(tmp_path, capsys, p):
     assert captured.err == f"error: {listing}, line 3: a scan factor needs at least one vertex, got order 0\n"
 
 
+def test_scan_rejects_order_zero_graph_after_crlf_and_whitespace_lines(tmp_path, capsys):
+    # The line number counts a whitespace-only line as read_graph6_lines
+    # skips it, with the file's CRLF line endings read as plain newlines.
+    listing = tmp_path / "zero.g6"
+    listing.write_bytes(b"\r\nA_\r\n \t\r\nBw\r\n?\r\n")
+    assert main(["scan", "--graphs", str(listing), "--p", "1/2"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {listing}, line 5: a scan factor needs at least one vertex, got order 0\n"
+
+
 def test_scan_names_the_line_over_the_vertex_cap(tmp_path, capsys):
     listing = tmp_path / "cap.g6"
     listing.write_text("A_\n~?@A\n")

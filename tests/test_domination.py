@@ -229,14 +229,27 @@ def test_two_vertex_path_has_two_singletons():
     assert family.sets == (mask_of([0]), mask_of([1]))
 
 
+def _assert_every_target_matches_brute(g: Graph) -> None:
+    # Each mode both once per target and in one kernel call over every
+    # target, ascending, which keeps its memo and tables from target to
+    # target: every answer must equal tests/brute.py's at its target.
+    n = g.order
+    targets = range(n + 1)
+    families = [brute_minimum_sets(g, Fraction(t, n)) for t in targets]
+    calls = {mode: list(_minimum_covers(g, mode, targets)) for mode in ("first", "all", "union")}
+    for mode, swept in calls.items():
+        assert swept == [next(_minimum_covers(g, mode, [t])) for t in targets]
+        assert [k for k, _, _ in swept] == [len(sets[0]) for sets in families]
+    assert [found for _, found, _ in calls["first"]] == [mask_of(sets[0]) for sets in families]
+    unions = [mask_of(v for s in sets for v in s) for sets in families]
+    assert [found for _, found, _ in calls["all"]] == [found for _, found, _ in calls["union"]] == unions
+    assert [[members(h) for h in hits] for _, _, hits in calls["all"]] == families
+    assert list(influencing_sweep(g)) == unions[1:]
+
+
 def test_solver_matches_brute_exhaustively_to_order_5(connected_upto_5):
     for g in connected_upto_5:
-        n = g.order
-        for k in range(1, n + 1):
-            p = Fraction(k, n)
-            assert partial_domination_number(g, p).size == brute_gamma(g, p)
-            got = [members(s) for s in all_minimum_sets(g, p).sets]
-            assert got == brute_minimum_sets(g, p)
+        _assert_every_target_matches_brute(g)
 
 
 def test_solver_matches_brute_on_random_graphs():
@@ -393,19 +406,7 @@ def test_influencing_sweep_matches_brute(g):
 def test_kernel_modes_match_brute_on_sparse_graphs(g):
     # Larger graphs reach memo states the small_graphs strategy does not:
     # a memo key without the cursor drops hits here.
-    n = g.order
-    swept = list(influencing_sweep(g))
-    assert len(swept) == n
-    for k, found in enumerate(swept, start=1):
-        p = Fraction(k, n)
-        expected = brute_minimum_sets(g, p)
-        result = partial_domination_number(g, p)
-        assert result.size == len(expected[0])
-        assert members(result.witness) == expected[0]
-        assert [members(s) for s in all_minimum_sets(g, p).sets] == expected
-        union = set().union(*expected)
-        assert set(members(influencing_set(g, p))) == union
-        assert set(members(found)) == union
+    _assert_every_target_matches_brute(g)
 
 
 def _union_of_family(g: Graph, p: Fraction) -> int:
@@ -582,7 +583,7 @@ def _nodes_entered(call) -> int:
     (lambda: partial_domination_number(cartesian_product(path(6), path(6)), 1), 369),
     (lambda: partial_domination_number(cartesian_product(path(7), path(9)), Fraction(3, 4)), 9084),
     (lambda: all_minimum_sets(_relabelled(cartesian_product(path(5), path(6)), random.Random(1)), Fraction(3, 4)), 3830),
-    (lambda: list(influencing_sweep(subdivided_star(10))), 896),
+    (lambda: list(influencing_sweep(subdivided_star(10))), 890),
 ], ids=["P6xP6-1", "P7xP9-3/4", "P5xP6-all-3/4-relabelled", "S10-sweep"])
 def test_search_tree_size(call, nodes):
     # Nodes entered on four calls of the kind the benchmark times: a change

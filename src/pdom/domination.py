@@ -175,10 +175,19 @@ _REVERSED = _reversed_bytes()
 
 
 def as_proportion(value: Fraction | int) -> Fraction:
-    """Validate a proportion: an int or Fraction in [0, 1]."""
-    if not isinstance(value, Rational):
+    """Validate a proportion: an int or Fraction in [0, 1], returned as an
+    exact Fraction.
+
+    A Fraction, the usual input, is immutable and is taken as is; any other
+    Rational (an int, a bool or a subclass of Fraction) is converted to
+    one first. Either way the one range check follows.
+    """
+    if type(value) is Fraction:
+        p = value
+    elif isinstance(value, Rational):
+        p = Fraction(value)
+    else:
         raise TypeError(f"proportion must be an int or Fraction, not {type(value).__name__} {value!r}")
-    p = Fraction(value)
     if not 0 <= p.numerator <= p.denominator:
         raise ValueError(f"proportion {p} outside [0, 1]")
     return p

@@ -48,6 +48,17 @@ def trees(draw, min_order: int = 10, max_order: int = 16) -> Graph:
 
 
 @st.composite
+def sparse_connected_graphs(draw, min_order: int = 10, max_order: int = 24) -> Graph:
+    """One of the trees above with up to n/4 extra edges: connected, and
+    sparse enough that the kernel's memo and slack bounds meet states the
+    small_graphs strategy does not."""
+    tree = draw(trees(min_order, max_order))
+    n = tree.order
+    extra = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=n // 4))
+    return from_edges(n, [*tree.edges(), *extra])
+
+
+@st.composite
 def spiders(draw, min_order: int = 10, max_order: int = 16) -> Graph:
     """Three or more paths of unequal lengths joined at one end to a center,
     under a random labelling: one pick covers little on a long leg and much

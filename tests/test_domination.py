@@ -51,7 +51,8 @@ from brute import (
     neighbor_sets,
     random_graph,
 )
-from strategies import SEEDED, SEEDED_SPARSE, small_graphs, sparse_graphs, spiders, trees
+from oracle import minimum_covers as oracle_minimum_covers
+from strategies import SEEDED, SEEDED_SPARSE, small_graphs, sparse_connected_graphs, sparse_graphs, spiders, trees
 
 HALF = Fraction(1, 2)
 
@@ -85,7 +86,11 @@ def test_coverage_target_rejects_bad_input():
         coverage_target(-1, HALF)
 
 
-@pytest.mark.parametrize("value", [0, 1, True, Fraction(1)])
+class _Ratio(Fraction):
+    """A Fraction subclass, which as_proportion must convert to a Fraction."""
+
+
+@pytest.mark.parametrize("value", [0, 1, True, Fraction(1), _Ratio(1)])
 def test_proportion_bounds_are_inclusive(value):
     p = as_proportion(value)
     assert type(p) is Fraction and p == value
@@ -229,13 +234,14 @@ def test_two_vertex_path_has_two_singletons():
     assert family.sets == (mask_of([0]), mask_of([1]))
 
 
-def _assert_every_target_matches_brute(g: Graph) -> None:
+def _assert_every_target_matches(g: Graph, minimum_sets) -> None:
     # Each mode both once per target and in one kernel call over every
     # target, ascending, which keeps its memo and tables from target to
-    # target: every answer must equal tests/brute.py's at its target.
+    # target: every answer must equal the reference family at its target,
+    # minimum_sets(g, target), the sets as ascending tuples in lex order.
     n = g.order
     targets = range(n + 1)
-    families = [brute_minimum_sets(g, Fraction(t, n)) for t in targets]
+    families = [minimum_sets(g, t) for t in targets]
     calls = {mode: list(_minimum_covers(g, mode, targets)) for mode in ("first", "all", "union")}
     for mode, swept in calls.items():
         assert swept == [next(_minimum_covers(g, mode, [t])) for t in targets]
@@ -245,6 +251,10 @@ def _assert_every_target_matches_brute(g: Graph) -> None:
     assert [found for _, found, _ in calls["all"]] == [found for _, found, _ in calls["union"]] == unions
     assert [[members(h) for h in hits] for _, _, hits in calls["all"]] == families
     assert list(influencing_sweep(g)) == unions[1:]
+
+
+def _assert_every_target_matches_brute(g: Graph) -> None:
+    _assert_every_target_matches(g, lambda g, t: brute_minimum_sets(g, Fraction(t, g.order)))
 
 
 def test_solver_matches_brute_exhaustively_to_order_5(connected_upto_5):
@@ -407,6 +417,14 @@ def test_kernel_modes_match_brute_on_sparse_graphs(g):
     # Larger graphs reach memo states the small_graphs strategy does not:
     # a memo key without the cursor drops hits here.
     _assert_every_target_matches_brute(g)
+
+
+@settings(SEEDED, max_examples=50)
+@given(sparse_connected_graphs())
+def test_kernel_modes_match_oracle_on_sparse_connected_graphs(g):
+    # Orders 10-24, beyond tests/brute.py's reach: the cover-driven
+    # tests/oracle.py is the reference.
+    _assert_every_target_matches(g, oracle_minimum_covers)
 
 
 def _union_of_family(g: Graph, p: Fraction) -> int:

@@ -3,18 +3,20 @@ purpose in a copy of the tree, must make its named tests fail.
 
     python tools/mutants.py
 
-Each mutant is one exact source-string replacement in one file under src/.
-The script copies the working tree, without git data or caches, into a
-temporary directory. It first runs every named test on the unmutated copy,
-where all must pass. Then, for each mutant in a fresh copy, it checks that
-the source string occurs exactly once, applies the replacement and runs
-the mutant's tests with pytest; the mutant is killed when pytest reports
-a failing test (exit status 1). The script exits 1 if
-a mutant survives, if a source string is missing or repeated, or if any
-run ends in another way (a collection error, an unknown test id, a
-timeout). A stale entry is mended by updating its strings or tests, never
-by dropping it. Standard library only, apart from the test dependencies
-that tier-1 needs (pytest, hypothesis, networkx).
+Each mutant is one exact source-string replacement in one file under src/,
+made at every occurrence of the string; the entry gives how many there
+are (one unless it says otherwise). The script copies the working tree,
+without git data or caches, into a temporary directory. It first runs
+every named test on the unmutated copy, where all must pass. Then, for
+each mutant in a fresh copy, it checks that the source string occurs as
+often as the entry says, applies the replacement and runs the mutant's
+tests with pytest; the mutant is killed when pytest reports a failing test
+(exit status 1). The script exits 1 if a mutant survives, if a source
+string occurs a different number of times, or if any run ends in another
+way (a collection error, an unknown test id, a timeout). A stale entry is
+mended by updating its strings or tests, never by dropping it. Standard
+library only, apart from the test dependencies that tier-1 needs (pytest,
+hypothesis, networkx).
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ TIMEOUT_S = 600  # per pytest run
 class Mutant(NamedTuple):
     name: str
     path: str  # relative to the repo root
-    old: str  # must occur exactly once in the file
+    old: str  # must occur exactly count times in the file
     new: str
     tests: tuple[str, ...]  # pytest ids; at least one must fail
+    count: int = 1  # occurrences of old, all replaced
 
 
 DOMINATION = "src/pdom/domination.py"
@@ -64,7 +67,7 @@ MUTANTS = (
            (f"{KERNEL}::test_failure_memo_key_holds_the_cursor",
             f"{KERNEL}::test_kernel_modes_match_oracle_on_sparse_connected_graphs")),
     Mutant("failure-recorded-after-union-prune", DOMINATION,
-           "if slack and events == before:", "if slack:",
+           "if events == before:", "if True:",
            (f"{KERNEL}::test_failure_memo_keeps_union_pruned_children",
             f"{KERNEL}::test_kernel_modes_match_oracle_on_sparse_connected_graphs")),
     # vars() reads the previous target's binding; the first target sees none.
@@ -76,6 +79,31 @@ MUTANTS = (
            "hits: list[int] = []", "hits = vars().get(\"hits\", [])",
            (f"{KERNEL}::test_solver_matches_brute_exhaustively_to_order_5",
             f"{KERNEL}::test_kernel_modes_match_oracle_on_sparse_connected_graphs")),
+    Mutant("success-memo-key-without-held", DOMINATION,
+           "state = key << 7 | held", "state = key << 7",
+           (f"{KERNEL}::test_slack_bound_on_relabelled_grid",
+            f"{KERNEL}::test_kernel_modes_match_oracle_on_sparse_connected_graphs")),
+    # Without the events a node whose hits all came from reuses records a failure.
+    Mutant("success-memo-reuse-without-events", DOMINATION,
+           "events += len(listed[1])", "pass",
+           (f"{KERNEL}::test_failure_memo_key_holds_the_cursor",
+            f"{KERNEL}::test_kernel_modes_match_brute_on_sparse_graphs")),
+    Mutant("success-memo-kept-across-targets", DOMINATION,
+           "wins: dict[int, tuple[int, list[int]]] = {}", "wins = vars().get(\"wins\", {})",
+           (f"{KERNEL}::test_success_memo_is_cleared_per_target",
+            f"{KERNEL}::test_kernel_modes_match_brute_on_sparse_graphs")),
+    # Outputs stay right; only the node count shows it (and time and memory).
+    Mutant("success-memo-at-every-depth", DOMINATION,
+           "m == reuse", "m >= reuse > 0",
+           (f"{KERNEL}::test_search_tree_size",), count=2),
+    Mutant("union-prune-skips-the-cursor", DOMINATION,
+           "if not (pick | suffix[j]) & ~found:", "if not (pick | suffix[j + 1]) & ~found:",
+           (f"{KERNEL}::test_search_tree_size",
+            f"{KERNEL}::test_kernel_modes_match_oracle_on_sparse_connected_graphs")),
+    Mutant("per-pick-bound-too-strict", DOMINATION,
+           "(cl[x] & child_uncovered).bit_count() >= need", "(cl[x] & child_uncovered).bit_count() > need",
+           (f"{KERNEL}::test_influencing_set_matches_brute",
+            f"{KERNEL}::test_sweep_search_size_is_pinned")),
     Mutant("proportion-subclass-kept", DOMINATION,
            "if type(value) is Fraction:", "if isinstance(value, Fraction):",
            (f"{KERNEL}::test_proportion_bounds_are_inclusive",)),
@@ -110,8 +138,8 @@ def run(mutant: Mutant, scratch: Path) -> str | None:
     copy_tree(tree)
     target = tree / mutant.path
     text = target.read_text()
-    if text.count(mutant.old) != 1:
-        return f"its source string occurs {text.count(mutant.old)} times in {mutant.path}, not once"
+    if text.count(mutant.old) != mutant.count:
+        return f"its source string occurs {text.count(mutant.old)} times in {mutant.path}, not {mutant.count}"
     target.write_text(text.replace(mutant.old, mutant.new))
     status = pytest(tree, mutant.tests)
     if status == 1:

@@ -20,7 +20,7 @@ from .domination import (
     influencing_sweep,
     partial_domination_number,
 )
-from .formats import _decimal, parse_edge_list, parse_graph6, read_graph6_lines, write_dot, write_graph6
+from .formats import _decimal, _lines, parse_edge_list, parse_graph6, read_graph6_lines, write_dot, write_graph6
 from .graphs import (
     Graph,
     VertexCapError,
@@ -115,7 +115,7 @@ def _load_graph(args: argparse.Namespace, suffix: str = "") -> Graph:
         return graph_from_generator(gen)
     if g6 is not None:
         return parse_graph6(g6)
-    text = Path(file_path).read_text()
+    text = Path(file_path).read_bytes().decode()  # as written: no newline translation
     if file_path.endswith(".g6"):
         found = read_graph6_lines(text)
         if len(found) != 1:
@@ -164,12 +164,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     p = parse_proportion(args.p)
     if args.graphs is not None:
         family = "external"
-        text = Path(args.graphs).read_text()
+        text = Path(args.graphs).read_bytes().decode()
         members = read_graph6_lines(text)
         if not members:
             raise ValueError(f"{args.graphs} holds 0 graphs; expected at least one")
-        lines = (k for k, raw in enumerate(text.split("\n"), start=1) if raw.strip())  # as read_graph6_lines reads them
-        for lineno, g in zip(lines, members):
+        for (lineno, _), g in zip(_lines(text), members):  # the lines read_graph6_lines read
             if not g.order:
                 raise ValueError(f"{args.graphs}, line {lineno}: a scan factor needs at least one vertex, got order 0")
     else:

@@ -10,8 +10,10 @@ down. A token may start with the optional ">>graph6<<" header, which networkx
 writes by default.
 
 Errors give the position of the first problem as written. Lines end at "\n"
-alone and are numbered from 1; a "\r" before it is blank space, as are the
-other characters that str.splitlines also breaks at. An offset counts
+alone and are numbered from 1; a "\r", lone or before "\n", is blank space,
+as are the other characters that str.splitlines also breaks at. _lines is
+the one place where text is split into lines: both readers and the command
+line's scan take their lines and line numbers from it. An offset counts
 characters from the first character of the text parse_graph6 was given, or
 of the line read_graph6_lines gave it: leading blanks and the header count.
 parse_graph6 reports the offset, read_graph6_lines adds the line number,
@@ -24,6 +26,7 @@ with an endpoint of MAX_VERTICES or more.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from .graphs import MAX_VERTICES, Graph, VertexCapError, from_edges
 
@@ -110,18 +113,22 @@ def parse_graph6(text: str) -> Graph:
     return Graph(tuple(adj))
 
 
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each nonblank line of text, numbered from 1."""
+    return ((lineno, raw) for lineno, raw in enumerate(text.split("\n"), start=1) if raw.strip())
+
+
 def read_graph6_lines(text: str) -> list[Graph]:
     """Parse one graph6 token per nonblank line."""
     out = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if raw.strip():
-            try:
-                out.append(parse_graph6(raw))
-            except FormatError as exc:
-                exc.line = lineno
-                raise
-            except VertexCapError as exc:
-                raise VertexCapError(f"line {lineno}: {exc}") from None
+    for lineno, raw in _lines(text):
+        try:
+            out.append(parse_graph6(raw))
+        except FormatError as exc:
+            exc.line = lineno
+            raise
+        except VertexCapError as exc:
+            raise VertexCapError(f"line {lineno}: {exc}") from None
     return out
 
 
@@ -139,10 +146,8 @@ def parse_edge_list(text: str) -> Graph:
     is one more than the largest index seen."""
     declared: int | None = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in _lines(text):
         tokens = raw.split()
-        if not tokens:
-            continue
         if not edges and declared is None and tokens[0] == "n":
             if len(tokens) != 2:
                 raise FormatError("order header must be exactly 'n <count>'", line=lineno)

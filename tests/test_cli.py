@@ -417,13 +417,24 @@ def test_scan_rejects_order_zero_graph(tmp_path, capsys, p):
 
 def test_scan_rejects_order_zero_graph_after_crlf_and_whitespace_lines(tmp_path, capsys):
     # The line number counts a whitespace-only line as read_graph6_lines
-    # skips it, with the file's CRLF line endings read as plain newlines.
+    # skips it; the CR of each CRLF ending is blank space before the "\n".
     listing = tmp_path / "zero.g6"
     listing.write_bytes(b"\r\nA_\r\n \t\r\nBw\r\n?\r\n")
     assert main(["scan", "--graphs", str(listing), "--p", "1/2"]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {listing}, line 5: a scan factor needs at least one vertex, got order 0\n"
+
+
+def test_scan_reads_a_lone_cr_as_blank_space(tmp_path, capsys):
+    # The file is read as written: a lone CR ends no line, so "A_\rBw" is
+    # one token whose body is too long for order 2.
+    listing = tmp_path / "cr.g6"
+    listing.write_bytes(b"A_\rBw\n")
+    assert main(["scan", "--graphs", str(listing), "--p", "1/2"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1, offset 2: body length 4 does not match order 2 (expected 1 characters)\n"
 
 
 def test_scan_names_the_line_over_the_vertex_cap(tmp_path, capsys):
@@ -582,6 +593,16 @@ def test_file_input_edge_list_takes_ascii_digits_only(tmp_path, capsys, text, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_file_input_edge_list_reads_a_lone_cr_as_blank_space(tmp_path, capsys):
+    # As parse_edge_list("0 1\r1 2\n") reads it: one line of four tokens.
+    listing = tmp_path / "edges.txt"
+    listing.write_bytes(b"0 1\r1 2\n")
+    assert main(["gamma", "--file", str(listing), "--p", "1/1"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: expected 'u v', got 4 tokens\n"
 
 
 def test_file_input_edge_list_negative_order_golden(tmp_path, capsys):

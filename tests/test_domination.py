@@ -154,6 +154,21 @@ def test_solver_on_subdivided_star():
     assert result.witness == mask_of(range(1, 9))  # the inner ring
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_spider_gamma_formula(k):
+    # S(2^k) is subdivided_star(k). For k < T <= 2k + 1, gamma at target T
+    # is min(T - k, ceil((T - 1) / 2)): the hub covers k + 1 vertices and
+    # each further pick one more, while m inner vertices cover 2m + 1.
+    g = subdivided_star(k)
+    targets = range(k + 1, 2 * k + 2)
+    formula = [min(t - k, t // 2) for t in targets]  # t // 2 == ceil((t - 1) / 2)
+    assert [size for size, _, _ in _minimum_covers(g, "first", targets)] == formula
+    if k <= 6:
+        assert [len(oracle_minimum_covers(g, t)[0]) for t in targets] == formula
+    if k <= 4:
+        assert [brute_gamma(g, Fraction(t, g.order)) for t in targets] == formula
+
+
 def test_gamma_set_can_avoid_half_witnesses():
     g = subdivided_star(8)
     half_sets = all_minimum_sets(g, HALF).sets

@@ -209,6 +209,9 @@ def test_read_graph6_lines_reports_line_numbers():
         read_graph6_lines("A_\n~?@A\n")
     with pytest.raises(VertexCapError, match=r"^line 3: order beyond 64 "):
         read_graph6_lines("A_\n\n~~\n")
+    with pytest.raises(FormatError) as err:
+        read_graph6_lines("A_\n \t\nA!")  # a whitespace-only line is skipped but counted
+    assert err.value.line == 3
 
 
 @pytest.mark.parametrize("blank", ["\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"],
@@ -251,6 +254,7 @@ def test_parse_edge_list_basic():
     ("+5 6", 1),
     ("\u0663 4", 1),        # ARABIC-INDIC DIGIT THREE
     ("n 1_2\n0 1", 1),
+    ("0 1\n \t\n2 x", 3),   # a whitespace-only line is skipped but counted
 ])
 def test_parse_edge_list_errors_carry_line_numbers(text, line):
     with pytest.raises(FormatError) as err:

@@ -44,6 +44,8 @@ class Mutant(NamedTuple):
 
 DOMINATION = "src/pdom/domination.py"
 KERNEL = "tests/test_domination.py"
+CONJECTURE = "src/pdom/conjecture.py"
+SCAN = "tests/test_conjecture.py"
 
 MUTANTS = (
     Mutant("size-one-table-without-suffix-or", DOMINATION,
@@ -54,10 +56,10 @@ MUTANTS = (
            "if len(hits) > 1:", "if False:",
            (f"{KERNEL}::test_family_in_lex_order_under_breadth_first_order",
             f"{KERNEL}::test_family_is_sorted_and_duplicate_free")),
-    Mutant("census-rank-not-strict", "src/pdom/conjecture.py",
+    Mutant("census-rank-not-strict", CONJECTURE,
            "if top[census] < rank:", "if top[census] <= rank:",
-           ("tests/test_conjecture.py::test_census_rejects_only_children_the_minimality_test_rejects",
-            "tests/test_conjecture.py::test_connected_counts_per_order")),
+           (f"{SCAN}::test_census_rejects_only_children_the_minimality_test_rejects",
+            f"{SCAN}::test_connected_counts_per_order")),
     Mutant("asymmetric-product", "src/pdom/graphs.py",
            "| spread[i] << j for i", "| (spread[i] & ~(-1 << i * m)) << j for i",
            ("tests/test_graphs.py::test_product_of_two_edges_is_a_square",
@@ -111,6 +113,27 @@ MUTANTS = (
            "p = value", "return value",
            (f"{KERNEL}::test_proportion_just_outside_the_bounds_rejected",
             f"{KERNEL}::test_coverage_target_rejects_bad_input")),
+    Mutant("packing-table-without-distance-two", DOMINATION,
+           "far = [full ^ g.closed_two_ball(v) for v in range(n)]", "far = [full ^ (g.adj[v] | 1 << v) for v in range(n)]",
+           (f"{KERNEL}::test_packing_bound_on_relabelled_grid",
+            "tests/test_formulas.py::test_domination_grid_matches_solver")),
+    # Outputs stay right; the orbit minima and the enumeration's search size show it.
+    Mutant("orbit-filter-first-generator-only", CONJECTURE,
+           "            for image in images:", "            for image in images[:1]:",
+           (f"{SCAN}::test_orbit_filter_keeps_exactly_the_orbit_minima",
+            f"{SCAN}::test_enumeration_search_size_is_pinned")),
+    Mutant("certificate-below-full-domination", CONJECTURE,
+           "certified = [p == 1 and", "certified = [p >= Fraction(3, 4) and",
+           (f"{SCAN}::test_certificate_only_at_full_domination",
+            "tests/test_cli.py::test_scan_spider_square_fails_golden")),
+    Mutant("packing-drops-only-its-vertex", CONJECTURE,
+           "left &= ~balls[v]", "left &= ~(1 << v)",
+           (f"{SCAN}::test_packing_is_a_two_packing_on_connected_graphs",
+            f"{SCAN}::test_packing_bound_against_the_brute_oracle")),
+    Mutant("lines-keep-whitespace-only-lines", "src/pdom/formats.py",
+           "if raw.strip())", "if raw)",
+           ("tests/test_cli.py::test_scan_rejects_file_without_graphs",
+            "tests/test_formats.py::test_read_graph6_lines_reports_line_numbers")),
 )
 
 

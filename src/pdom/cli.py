@@ -15,6 +15,7 @@ from pathlib import Path
 from .conjecture import MAX_ENUM_ORDER, REPORT_HEADER, enumerate_graphs, scan_conjecture
 from .domination import (
     all_minimum_sets,
+    as_proportion,
     coverage_target,
     influencing_set,
     influencing_sweep,
@@ -42,19 +43,16 @@ EXIT_SCAN_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 
-_FIXTURES = {
-    "fig2": twin_hub_graph,
-    "fig3": pendant_wheel_graph,
-    "fig4": twin_broom_tree,
-}
-
-_FAMILIES = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
+_GENERATORS = {  # name: (builder, number of integer arguments)
     "complete": (complete, 1),
     "complete-bipartite": (complete_bipartite, 2),
+    "cycle": (cycle, 1),
+    "path": (path, 1),
     "star": (star, 1),
     "subdivided-star": (subdivided_star, 1),
+    "fig2": (twin_hub_graph, 0),
+    "fig3": (pendant_wheel_graph, 0),
+    "fig4": (twin_broom_tree, 0),
 }
 
 
@@ -66,22 +64,16 @@ def parse_proportion(text: str) -> Fraction:
     num, den = int(m.group(1)), int(m.group(2))
     if den == 0:
         raise ValueError("p cannot have denominator 0")
-    p = Fraction(num, den)
-    if p > 1:
-        raise ValueError(f"p must be at most 1, got {text}")
-    return p
+    return as_proportion(Fraction(num, den))
 
 
 def graph_from_generator(spec: str) -> Graph:
     name, sep, argstr = spec.partition(":")
-    if name in _FIXTURES:
-        if sep:
-            raise ValueError(f"generator {name} takes no arguments")
-        return _FIXTURES[name]()
-    if name not in _FAMILIES:
-        known = ", ".join(sorted(_FAMILIES) + sorted(_FIXTURES))
-        raise ValueError(f"unknown generator {name!r} (known: {known})")
-    builder, arity = _FAMILIES[name]
+    if name not in _GENERATORS:
+        raise ValueError(f"unknown generator {name!r} (known: {', '.join(_GENERATORS)})")
+    builder, arity = _GENERATORS[name]
+    if sep and not arity:
+        raise ValueError(f"generator {name} takes no arguments")
     tokens = argstr.split(",") if argstr else []
     if len(tokens) != arity:
         raise ValueError(f"generator {name} needs {arity} integer argument(s), got {len(tokens)}")

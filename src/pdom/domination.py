@@ -250,14 +250,15 @@ def _breadth_first(adj: tuple[int, ...]) -> list[int]:
     """Vertices in breadth-first layers, each layer in label order.
 
     Each component starts from the lowest-labelled vertex of minimum degree
-    among the vertices not yet placed (Cuthill and McKee, 1969).
+    among the vertices not yet placed (Cuthill and McKee, 1969): a placed
+    vertex's degree entry is set to n, above every degree.
     """
+    n = len(adj)
     degree = [row.bit_count() for row in adj]
     order: list[int] = []
-    left = (1 << len(adj)) - 1
-    start = degree.index(min(degree)) if adj else 0
+    left = (1 << n) - 1
     while left:
-        frontier = 1 << start
+        frontier = 1 << degree.index(min(degree))
         left ^= frontier
         while frontier:
             reach = 0
@@ -265,12 +266,11 @@ def _breadth_first(adj: tuple[int, ...]) -> list[int]:
                 low = frontier & -frontier
                 v = low.bit_length() - 1
                 order.append(v)
+                degree[v] = n
                 reach |= adj[v]
                 frontier ^= low
             frontier = reach & left
             left ^= frontier
-        if left:
-            start = min(members(left), key=degree.__getitem__)
     return order
 
 

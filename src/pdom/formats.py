@@ -92,7 +92,7 @@ def parse_graph6(text: str) -> Graph:
     if end != expected:
         raise FormatError(
             f"body length {end - body_start} does not match order {n} "
-            f"(expected {expected - body_start} characters)",
+            f"(expected {expected - body_start} character{'s' * (expected - body_start != 1)})",
             offset=min(end, expected),
         )
     bits = _six_bit_groups(text, body_start, expected)

@@ -54,10 +54,19 @@ def test_graph_from_generator():
     assert graph_from_generator("fig2").adj == twin_hub_graph().adj
 
 
-@pytest.mark.parametrize("spec", ["blob:3", "path", "path:2,3", "path:x", "fig2:3", "complete-bipartite:4"])
+@pytest.mark.parametrize("spec", ["blob:3", "path", "path:2,3", "path:x", "fig2:3", "fig2:", "complete-bipartite:4"])
 def test_graph_from_generator_rejects(spec):
     with pytest.raises(ValueError):
         graph_from_generator(spec)
+
+
+def test_graph_from_generator_messages():
+    with pytest.raises(ValueError, match="^generator fig2 takes no arguments$"):
+        graph_from_generator("fig2:")
+    known = "complete, complete-bipartite, cycle, path, star, subdivided-star, fig2, fig3, fig4"
+    with pytest.raises(ValueError) as err:
+        graph_from_generator("blob")
+    assert str(err.value) == f"unknown generator 'blob' (known: {known})"
 
 
 @pytest.mark.parametrize("spec", ["path:3_0", "path:+3", "path: 3", "path:\u0663", "complete-bipartite:2,\u0663"],
@@ -434,7 +443,7 @@ def test_scan_reads_a_lone_cr_as_blank_space(tmp_path, capsys):
     assert main(["scan", "--graphs", str(listing), "--p", "1/2"]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 1, offset 2: body length 4 does not match order 2 (expected 1 characters)\n"
+    assert captured.err == "error: line 1, offset 2: body length 4 does not match order 2 (expected 1 character)\n"
 
 
 def test_scan_names_the_line_over_the_vertex_cap(tmp_path, capsys):
@@ -645,6 +654,16 @@ def test_file_with_multiple_graphs_rejected(tmp_path, capsys):
 def test_parse_failures_exit_two(argv, capsys):
     assert main(argv) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_proportion_above_one_golden(capsys):
+    # parse_proportion leaves the range check to as_proportion, so the
+    # message is its; scan parses --p first, before its out-of-range order.
+    for argv in (["gamma", "--gen", "path:4", "--p", "3/2"], ["scan", "--max-order", "9", "--p", "3/2"]):
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: proportion 3/2 outside [0, 1]\n"
 
 
 def test_vertex_cap_exit_three(capsys):

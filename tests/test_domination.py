@@ -662,6 +662,33 @@ def test_family_in_lex_order_under_breadth_first_order():
     assert influencing_set(g, Fraction(1)) == g.full_mask
 
 
+def test_breadth_first_starts_each_component_at_its_least_degree():
+    # An edge 0-1, then the star 2; 3, 4, 5. The second component starts at
+    # 3, its lowest-labelled vertex of least degree, not at its lowest label.
+    g = from_edges(6, [(0, 1), (2, 3), (2, 4), (2, 5)])
+    assert _breadth_first(g.adj) == [0, 1, 3, 2, 4, 5]
+
+
+def _set_breadth_first(g: Graph) -> list[int]:
+    """Each component from the unplaced vertex of least (degree, label),
+    each layer sorted: _breadth_first's rule on plain sets."""
+    neighbours = [set(members(row)) for row in g.adj]
+    left = set(range(g.order))
+    order: list[int] = []
+    while left:
+        layer = [min(left, key=lambda v: (len(neighbours[v]), v))]
+        while layer:
+            left.difference_update(layer)
+            order += layer
+            layer = sorted(left & set().union(*(neighbours[v] for v in layer)))
+    return order
+
+
+def test_breadth_first_matches_a_set_based_reference(graphs_upto_7):
+    for g in graphs_upto_7:
+        assert _breadth_first(g.adj) == _set_breadth_first(g)
+
+
 def _image(mask: int, perm: list[int]) -> int:
     return mask_of(perm[v] for v in members(mask))
 

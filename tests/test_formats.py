@@ -164,16 +164,18 @@ def test_parse_graph6_rejects_other_headers(text):
     assert err.value.offset == 0
 
 
-@pytest.mark.parametrize("bad,pos", [
-    ("A", 1),        # missing body
-    ("A__", 2),      # trailing data
-    ("B__", 2),      # body too long for order 3
-    ("~?", 2),       # truncated long header
-])
-def test_parse_graph6_length_errors(bad, pos):
+@pytest.mark.parametrize("bad,pos,message", [
+    ("A", 1, "expected 1 character)"),     # missing body
+    ("A__", 2, "expected 1 character)"),   # trailing data
+    ("B__", 2, "expected 1 character)"),   # body too long for order 3
+    ("D", 1, "expected 2 characters)"),    # missing body of order 5
+    ("~?", 2, "truncated graph6 order header"),
+], ids=["A-1", "A__-2", "B__-2", "D-1", "~?-2"])
+def test_parse_graph6_length_errors(bad, pos, message):
     with pytest.raises(FormatError) as err:
         parse_graph6(bad)
     assert err.value.offset == pos
+    assert str(err.value).endswith(message)
 
 
 def test_parse_graph6_bad_characters_and_padding():

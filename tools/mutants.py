@@ -9,14 +9,15 @@ are (one unless it says otherwise). The script copies the working tree,
 without git data or caches, into a temporary directory. It first runs
 every named test on the unmutated copy, where all must pass. Then, for
 each mutant in a fresh copy, it checks that the source string occurs as
-often as the entry says, applies the replacement and runs the mutant's
-tests with pytest; the mutant is killed when pytest reports a failing test
-(exit status 1). The script exits 1 if a mutant survives, if a source
-string occurs a different number of times, or if any run ends in another
-way (a collection error, an unknown test id, a timeout). A stale entry is
-mended by updating its strings or tests, never by dropping it. Standard
-library only, apart from the test dependencies that tier-1 needs (pytest,
-hypothesis, networkx).
+often as the entry says, applies the replacement and runs each of the
+mutant's tests alone with pytest; the mutant is killed only when every one
+of those runs reports a failing test (exit status 1), so each named test
+is a catcher on its own. The script exits 1 if a named test passes on its
+mutant, if a source string occurs a different number of times, or if any
+run ends in another way (a collection error, an unknown test id, a
+timeout). A stale entry is mended by updating its strings or tests, never
+by dropping it. Standard library only, apart from the test dependencies
+that tier-1 needs (pytest, hypothesis, networkx).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Mutant(NamedTuple):
     path: str  # relative to the repo root
     old: str  # must occur exactly count times in the file
     new: str
-    tests: tuple[str, ...]  # pytest ids; at least one must fail
+    tests: tuple[str, ...]  # pytest ids; each must fail when run alone
     count: int = 1  # occurrences of old, all replaced
 
 
@@ -46,6 +47,7 @@ DOMINATION = "src/pdom/domination.py"
 KERNEL = "tests/test_domination.py"
 CONJECTURE = "src/pdom/conjecture.py"
 SCAN = "tests/test_conjecture.py"
+CLI = "src/pdom/cli.py"
 
 MUTANTS = (
     Mutant("size-one-table-without-suffix-or", DOMINATION,
@@ -106,6 +108,11 @@ MUTANTS = (
            "(cl[x] & child_uncovered).bit_count() >= need", "(cl[x] & child_uncovered).bit_count() > need",
            (f"{KERNEL}::test_influencing_set_matches_brute",
             f"{KERNEL}::test_sweep_search_size_is_pinned")),
+    Mutant("component-start-at-lowest-label", DOMINATION,
+           "frontier = 1 << degree.index(min(degree))", "frontier = left & -left",
+           (f"{KERNEL}::test_breadth_first_starts_each_component_at_its_least_degree",
+            f"{KERNEL}::test_family_in_lex_order_under_breadth_first_order",
+            f"{KERNEL}::test_search_tree_size")),
     Mutant("proportion-subclass-kept", DOMINATION,
            "if type(value) is Fraction:", "if isinstance(value, Fraction):",
            (f"{KERNEL}::test_proportion_bounds_are_inclusive",)),
@@ -134,6 +141,14 @@ MUTANTS = (
            "if raw.strip())", "if raw)",
            ("tests/test_cli.py::test_scan_rejects_file_without_graphs",
             "tests/test_formats.py::test_read_graph6_lines_reports_line_numbers")),
+    Mutant("fixture-takes-arguments", CLI,
+           "if sep and not arity:", "if False:",
+           ("tests/test_cli.py::test_graph_from_generator_rejects[fig2:]",
+            "tests/test_cli.py::test_graph_from_generator_messages")),
+    Mutant("proportion-range-left-to-the-caller", CLI,
+           "return as_proportion(Fraction(num, den))", "return Fraction(num, den)",
+           ("tests/test_cli.py::test_parse_proportion_rejects",
+            "tests/test_cli.py::test_proportion_above_one_golden")),
 )
 
 
@@ -164,10 +179,12 @@ def run(mutant: Mutant, scratch: Path) -> str | None:
     if text.count(mutant.old) != mutant.count:
         return f"its source string occurs {text.count(mutant.old)} times in {mutant.path}, not {mutant.count}"
     target.write_text(text.replace(mutant.old, mutant.new))
-    status = pytest(tree, mutant.tests)
-    if status == 1:
-        return None
-    return "it survives its tests" if status == 0 else f"pytest ended with status {status}"
+    problems = []
+    for test in mutant.tests:
+        status = pytest(tree, (test,))
+        if status != 1:
+            problems.append(f"{test} passes" if status == 0 else f"{test} ends with pytest status {status}")
+    return "; ".join(problems) or None
 
 
 def main() -> int:

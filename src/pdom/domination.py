@@ -15,10 +15,12 @@ The search has three modes:
   (partial_domination_number);
 - all: collect every hit, sorted into lexicographic order of the vertex
   labels and duplicate free (all_minimum_sets);
-- union: keep only the OR of the hits so far (influencing_set and
-  influencing_sweep), so the influencing set is found without listing
-  the family. influencing_sweep yields the n influencing sets as plain
-  masks, the k-th for p = k/n, and influencing_intersection ANDs them.
+- union: keep only the OR of the hits so far (influencing_set,
+  influencing_sweep and influencing_intersection), so the influencing set
+  is found without listing the family. influencing_sweep yields the n
+  influencing sets as plain masks, the k-th for p = k/n;
+  influencing_intersection makes the same call over the targets from
+  max |N[v]| to n and ANDs the sets.
 
 The candidate order depends on the mode alone. "first" mode takes label
 order, because its witness is lex-least in the labels: under another order
@@ -51,11 +53,15 @@ which the node has just counted. Whatever the mode, target or candidate
 order, the slack bound therefore never ends a child at its first
 candidate.
 
-In union mode a child is also dropped when its chosen vertices and every
-vertex it could still pick (those at positions from its cursor on) all lie
-in the union already: no hit below it can add a vertex. The union is
-empty until the first hit, so this prune never changes which size is
-found minimum.
+In union mode a node's scan also ends at the first child i whose chosen
+vertices and every vertex it could still pick, chosen | suffix[i], all
+lie in the union already: no hit below it can add a vertex. That set only
+shrinks as i grows and the union only grows, so every later child would
+be dropped too, and the prune ends the scan instead of dropping one
+child; it covers children with one pick left as well, ahead of their
+last-pick scan. The children it skips may hold hits, so it counts one
+event and no failure is recorded above it. The union is empty until the
+first hit, so this prune never changes which size is found minimum.
 
 The third prune is a failure memo. No pick at or after the cursor i can
 cover a vertex of dead[i], so whether a node's subtree holds a hit depends
@@ -138,11 +144,12 @@ the child's scan at once, comes first and runs as soon as the child's
 covered count is known: the child's chosen set and uncovered set are
 built only for a child that passes it (on P7xP9 at 3/4 in "first" mode,
 54,975 of the 84,384 children end there). The slack bound there needs no
-test, by the argument above. Then come, in union mode, the union prune
-and the per-pick coverage bound, and last the packing bound and the
-memos. A child with one pick left is not called either; the parent scans
-that last pick itself, and the scan's first candidate has passed both
-bounds already. Roots take none of these tests: the size starts at the
+test, by the argument above. Then comes, in union mode, the union prune,
+which ends the scan. A child with one pick left is not called either;
+the parent scans that last pick itself, and the scan's first candidate
+has passed both bounds already. A child with two or more picks left
+takes, in union mode, the per-pick coverage bound, and last the packing
+bound and the memos. Roots take none of these tests: the size starts at the
 counting bound, nothing is dead at position 0, the union is empty, no
 memo key has cursor 0, each of their children takes the packing test,
 and the per-pick coverage bound would be met by the vertex of largest
@@ -335,6 +342,9 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
             # slack bound at j holds already (see the module docstring).
             if child_count + m * best[j] < target:
                 continue  # it would stop at its first candidate
+            if union and not (chosen | suffix[i]) & ~found:
+                events += 1  # the hits skipped here may exist, so no failure is recorded above
+                break  # no child from i on can add a vertex to found
             child_uncovered = ~child
             if m == 1:  # the child's last pick, scanned here; j passed both bounds
                 for j in range(j, n):
@@ -351,9 +361,6 @@ def _minimum_covers(g: Graph, mode: Mode, targets: Iterable[int]) -> Iterator[tu
                 continue
             pick = chosen | bit[i]
             if union:
-                if not (pick | suffix[j]) & ~found:
-                    events += 1  # the hits skipped here may exist, so no failure is recorded above
-                    continue  # every hit below it lies inside found already
                 # Per-pick coverage: some candidate must add a 1/m share of
                 # what is still needed, since later picks add no more.
                 need = -(-(target - child_count) // m)
@@ -476,7 +483,14 @@ def influencing_sweep(g: Graph) -> Iterator[int]:
 
 
 def influencing_intersection(g: Graph) -> int:
-    """Intersection of the influencing sets over p = k/n for k = 1..n."""
+    """Intersection of the influencing sets over p = k/n for k = 1..n.
+
+    Each target t <= max |N[v]| has size 1 and influencing set
+    {v : |N[v]| >= t}; these sets shrink as t grows, so their intersection
+    is the set at t = max |N[v]|, and the kernel call starts there (at
+    target 1 on a graph without edges).
+    """
     if g.order < 1:
         raise ValueError("influencing intersection needs at least one vertex")
-    return reduce(and_, influencing_sweep(g), g.full_mask)
+    targets = range(g.max_degree() + 1, g.order + 1)
+    return reduce(and_, map(itemgetter(1), _minimum_covers(g, "union", targets)), g.full_mask)

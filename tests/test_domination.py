@@ -360,6 +360,13 @@ def test_sweep_to_order_7_is_pinned():
     assert hashlib.sha256("\n".join(map(str, masks)).encode()).hexdigest() == SWEEP_7_SHA256
 
 
+def test_intersection_matches_the_full_sweep_to_order_7(graphs_upto_7):
+    # The intersection starts at target max|N[v]|, the sweep at target 1;
+    # disconnected graphs included, down to those with no edge at all.
+    for g in graphs_upto_7:
+        assert influencing_intersection(g) == reduce(and_, influencing_sweep(g), g.full_mask)
+
+
 @SEEDED
 @given(small_graphs())
 def test_size_one_targets_match_brute(g):

@@ -52,7 +52,7 @@ CLI = "src/pdom/cli.py"
 MUTANTS = (
     Mutant("size-one-table-without-suffix-or", DOMINATION,
            "alone[t] |= alone[t + 1]", "pass",
-           (f"{KERNEL}::test_influencing_intersection",
+           (f"{KERNEL}::test_sweep_and_intersection_match_brute_to_order_6",
             f"{KERNEL}::test_size_one_targets_match_brute")),
     Mutant("all-mode-sort-skipped", DOMINATION,
            "if len(hits) > 1:", "if False:",
@@ -101,9 +101,15 @@ MUTANTS = (
            "m == reuse", "m >= reuse > 0",
            (f"{KERNEL}::test_search_tree_size",), count=2),
     Mutant("union-prune-skips-the-cursor", DOMINATION,
-           "if not (pick | suffix[j]) & ~found:", "if not (pick | suffix[j + 1]) & ~found:",
+           "if union and not (chosen | suffix[i]) & ~found:", "if union and not (chosen | suffix[j]) & ~found:",
            (f"{KERNEL}::test_search_tree_size",
-            f"{KERNEL}::test_kernel_modes_match_oracle_on_sparse_connected_graphs")),
+            f"{KERNEL}::test_kernel_modes_match_oracle_on_sparse_connected_graphs",
+            f"{KERNEL}::test_sweep_and_intersection_match_brute_to_order_6")),
+    # Target max|N[v]| holds the vertices of largest closed neighborhood alone.
+    Mutant("intersection-skips-a-needed-target", DOMINATION,
+           "range(g.max_degree() + 1, g.order + 1)", "range(g.max_degree() + 2, g.order + 1)",
+           (f"{KERNEL}::test_sweep_and_intersection_match_brute_to_order_6",
+            f"{KERNEL}::test_influencing_intersection")),
     Mutant("per-pick-bound-too-strict", DOMINATION,
            "(cl[x] & child_uncovered).bit_count() >= need", "(cl[x] & child_uncovered).bit_count() > need",
            (f"{KERNEL}::test_influencing_set_matches_brute",
